@@ -17,6 +17,8 @@ import functools
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
+from typing import Iterator
 
 import click
 
@@ -78,35 +80,37 @@ def _write_json(stream, command, arguments, row_dicts) -> None:
     stream.write("\n")
 
 
-def _emit(out, fmt, command, arguments, headers, rows) -> None:
-    """Write rows to stdout or --out in the chosen format."""
-
-    def render(stream):
-        if fmt == "table":
-            _write_table(stream, headers, rows)
-        elif fmt == "csv":
-            _write_csv(stream, headers, rows)
-        else:
-            _write_json(
-                stream, command, arguments, [dict(zip(headers, row)) for row in rows]
-            )
-
+def _output(out):
+    """The data stream of a command: the --out file if given, else stdout."""
     if out is None:
-        render(sys.stdout)
+        return nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
+
+
+def _emit(stream, fmt, command, arguments, headers, rows) -> None:
+    """Write rows to the stream in the chosen format."""
+    if fmt == "table":
+        _write_table(stream, headers, rows)
+    elif fmt == "csv":
+        _write_csv(stream, headers, rows)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            render(handle)
+        _write_json(stream, command, arguments, [dict(zip(headers, row)) for row in rows])
 
 
-def _summary(out, fmt, line: str) -> None:
-    """Human summary: stdout for tables, stderr for machine formats."""
-    if fmt == "table" and out is None:
-        click.echo(line)
-    elif fmt == "table":
-        with open(out, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+def _summary(stream, fmt, line: str) -> None:
+    """Human summary: after the rows for tables, stderr for machine formats."""
+    if fmt == "table":
+        stream.write(line + "\n")
     else:
         click.echo(line, err=True)
+
+
+def _error_rows(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, p_rec, p_beatty, e) for n in [1, n_max], e = p_rec - p_beatty."""
+    p = build_recursive(n_max).p
+    for n in range(1, n_max + 1):
+        pb = beatty_p(n)
+        yield n, p[n], pb, p[n] - pb
 
 
 def _describe_move(move: Move, x: int, y: int) -> str:
@@ -147,13 +151,11 @@ def gen(n_max, method, fmt, out):
         headers = ["n", "p", "q"]
         rows = [[n, beatty_p(n), beatty_q(n)] for n in range(1, n_max + 1)]
     else:
-        table = build_recursive(n_max)
+        # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
-        rows = []
-        for n in range(1, n_max + 1):
-            pb = beatty_p(n)
-            rows.append([n, table.p[n], table.q[n], pb, pb + n, table.p[n] - pb])
-    _emit(out, fmt, "gen", arguments, headers, rows)
+        rows = [[n, p, p + n, pb, pb + n, e] for n, p, pb, e in _error_rows(n_max)]
+    with _output(out) as stream:
+        _emit(stream, fmt, "gen", arguments, headers, rows)
 
 
 @main.command()
@@ -189,44 +191,25 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
         "prime_n_max": prime_n_max,
         "format": fmt,
     }
-    if fmt == "table":
-        lines = [report_text(r) for r in reports]
-
-        def render(stream):
-            for line in lines:
-                stream.write(line + "\n")
-
-        if out is None:
-            render(sys.stdout)
-        else:
-            with open(out, "w", encoding="utf-8") as handle:
-                render(handle)
-    elif fmt == "csv":
-        headers = ["identity", "lo", "hi", "passed", "counterexamples"]
-        rows = [
-            [r.identity_id, r.lo, r.hi, r.passed, len(r.counterexamples)]
-            for r in reports
-        ]
-        _emit(out, fmt, "verify", arguments, headers, rows)
-    else:
-        payload_rows = [r.to_dict() for r in reports]
-
-        def render(stream):
-            _write_json(stream, "verify", arguments, payload_rows)
-
-        if out is None:
-            render(sys.stdout)
-        else:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                render(handle)
-
     failed = [r.identity_id for r in reports if not r.passed]
-    _summary(
-        out,
-        fmt,
-        f"{len(reports) - len(failed)} of {len(reports)} identities passed"
-        + (f"; FAILED: {', '.join(failed)}" if failed else ""),
-    )
+    with _output(out) as stream:
+        if fmt == "table":
+            stream.writelines(report_text(r) + "\n" for r in reports)
+        elif fmt == "csv":
+            headers = ["identity", "lo", "hi", "passed", "counterexamples"]
+            rows = [
+                [r.identity_id, r.lo, r.hi, r.passed, len(r.counterexamples)]
+                for r in reports
+            ]
+            _write_csv(stream, headers, rows)
+        else:
+            _write_json(stream, "verify", arguments, [r.to_dict() for r in reports])
+        _summary(
+            stream,
+            fmt,
+            f"{len(reports) - len(failed)} of {len(reports)} identities passed"
+            + (f"; FAILED: {', '.join(failed)}" if failed else ""),
+        )
     if failed:
         sys.exit(1)
 
@@ -280,16 +263,13 @@ def best_move_cmd(a, b):
 @_engine_errors
 def error_term(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
-    table = build_recursive(n_max)
     headers = ["n", "p", "p_beatty", "e"]
-    rows = []
-    for n in range(1, n_max + 1):
-        pb = beatty_p(n)
-        rows.append([n, table.p[n], pb, table.p[n] - pb])
-    _emit(out, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows)
+    rows = list(_error_rows(n_max))
     counts = Counter(row[3] for row in rows)
     rendered = ", ".join(f"{e}: {counts[e]}" for e in sorted(counts))
-    _summary(out, fmt, f"histogram {{{rendered}}}")
+    with _output(out) as stream:
+        _emit(stream, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows)
+        _summary(stream, fmt, f"histogram {{{rendered}}}")
 
 
 @main.command()
@@ -308,8 +288,13 @@ def primes(n_max, sieve_limit, fmt, out):
         ev = check_prime_claim(table, n)
         rows.append([ev.n, ev.p_n, ev.index, ev.q_at_index, ev.holds])
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}
-    _emit(out, fmt, "primes", arguments, headers, rows)
     holding = sum(1 for row in rows if row[4])
-    _summary(out, fmt, f"claim holds for {holding} of {len(rows)} indices")
+    with _output(out) as stream:
+        _emit(stream, fmt, "primes", arguments, headers, rows)
+        _summary(stream, fmt, f"claim holds for {holding} of {len(rows)} indices")
     if holding != len(rows):
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -159,8 +159,8 @@ class PairTable:
 
         Returns n + 1 plus the number of i in [1, n] that appear among
         p(1)..p(n).  The value is computed from the counting rule alone
-        so it can be checked against the stored p(n+1) by the identity
-        suite rather than assumed equal.
+        so it can be checked against the stored p(n+1) rather than
+        assumed equal; the identity suite's C3 applies the same rule.
         """
         if not 1 <= n < self.n_max:
             raise RangeError(f"index {n} outside [1, {self.n_max - 1}]")

@@ -1,11 +1,17 @@
 """Exhaustive identity suite tying the independent engines together.
 
 Every structural fact the package relies on is registered here as a
-named identity with a checker that scans its maximal valid sub-range of
-[1, n_max] and reports counterexamples.  The checkers deliberately read
-only the public sequence arrays (never the membership cache), so a
-corrupted table entry is always visible to them; `fault_injected_reports`
-turns that into a self-test of the suite itself.
+named identity that checks its maximal valid sub-range of [1, n_max] and
+reports counterexamples.  Each table identity is one declared rule: a
+range rule giving the last n it may check, and a per-n rule, and one
+shared scan walks every such range.  Only the partition identity L2,
+which walks values rather than indices, keeps its own loop.  Every
+identity caps its counterexamples through the same helper.
+The rules read only the public sequence arrays (never the membership
+cache), so a corrupted table entry is always visible to them, and a
+lookup the corruption sends outside the table becomes a counterexample.
+A corrupted table therefore yields failed reports, never an exception;
+`fault_injected_reports` turns that into a self-test of the suite itself.
 
 Registry identifiers are short stable codes (L1, C2, ..., game-equiv,
 prime-claim) used verbatim by the command-line interface; descriptions
@@ -16,8 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import RangeError, UnknownIdentityError, WythoffError
 from .game import solve_retrograde
@@ -85,16 +92,9 @@ class Identity:
     conjecture: bool = False
 
 
-def _scan(lo: int, hi: int, instance: Callable) -> list[Counterexample]:
-    """Collect counterexamples of instance(n) over [lo, hi], capped."""
-    ces: list[Counterexample] = []
-    for n in range(lo, hi + 1):
-        ce = instance(n)
-        if ce is not None:
-            ces.append(ce)
-            if len(ces) >= MAX_COUNTEREXAMPLES:
-                break
-    return ces
+def _capped(ces: Iterable[Counterexample]) -> list[Counterexample]:
+    """The first MAX_COUNTEREXAMPLES counterexamples; stops pulling after that."""
+    return list(islice(ces, MAX_COUNTEREXAMPLES))
 
 
 def _index_bound(values: list[int], n_max: int) -> int:
@@ -108,212 +108,59 @@ def _is_lower_value(p: list[int], n_max: int, m: int) -> bool:
     return i <= n_max and p[i] == m
 
 
-def _check_p_increasing(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        if p[n] >= p[n + 1]:
-            return Counterexample(n, f"> {p[n]}", p[n + 1])
-        return None
-
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
+# A per-n rule returns None where its identity holds and the pair
+# (expected, actual) where it fails.  A lookup whose index falls outside
+# the table fails with _OUTSIDE instead of raising or wrapping around.
+_OUTSIDE = ("index inside the table", "index outside the table")
 
 
-def _check_no_adjacent_q(table: PairTable, n_max: int):
-    q = table.q
+def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
+    """Yield the counterexamples of rule(n, p, q, n_max) for n in [1, hi]."""
+    for n in range(1, hi + 1):
+        try:
+            failure = rule(n, p, q, n_max)
+        except IndexError:
+            failure = _OUTSIDE
+        if failure is not None:
+            yield Counterexample(n, *failure)
 
-    def instance(n):
-        gap = q[n + 1] - q[n]
-        if gap < 2:
-            return Counterexample(n, "gap >= 2", gap)
-        return None
 
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
+def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable) -> Callable:
+    """Checker for a table identity: rule over [1, hi(table, n_max)]."""
+
+    def check(table: PairTable, n_max: int):
+        top = hi(table, n_max)
+        return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
+
+    return check
 
 
-def _check_partition(table: PairTable, n_max: int):
+def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
+    """Rule on the gap e = p(n) - floor(n*phi): it holds when e is allowed."""
+    return lambda n, p, q, m: (
+        None if (e := p[n] - beatty_p(n)) in allowed else (expected, e)
+    )
+
+
+def _partition(table: PairTable, n_max: int):
+    """L2: each of 1..p(n_max) lies in exactly one of p[1..n_max], q[1..n_max]."""
     top = table.p[n_max]
-    marks = bytearray(top + 1)
-    ces: list[Counterexample] = []
-    for value in table.p[1 : n_max + 1]:
-        if value <= top:
-            if marks[value]:
-                ces.append(Counterexample(value, "exactly one sequence", "both"))
-                if len(ces) >= MAX_COUNTEREXAMPLES:
-                    return 1, top, ces
-            else:
+
+    def violations():
+        marks = bytearray(max(top, 0) + 1)
+        for value in chain(islice(table.p, 1, n_max + 1), islice(table.q, 1, n_max + 1)):
+            if 0 < value <= top:
+                if marks[value]:
+                    yield Counterexample(value, "exactly one sequence", "both")
                 marks[value] = 1
-    for value in table.q[1 : n_max + 1]:
-        if value <= top:
-            if marks[value]:
-                ces.append(Counterexample(value, "exactly one sequence", "both"))
-                if len(ces) >= MAX_COUNTEREXAMPLES:
-                    return 1, top, ces
-            else:
-                marks[value] = 1
-    for value in range(1, top + 1):
-        if not marks[value]:
-            ces.append(Counterexample(value, "exactly one sequence", "neither"))
-            if len(ces) >= MAX_COUNTEREXAMPLES:
-                break
-    return 1, top, ces
+        for value in range(1, top + 1):
+            if not marks[value]:
+                yield Counterexample(value, "exactly one sequence", "neither")
+
+    return 1, top, _capped(violations())
 
 
-def _check_p_steps(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        step = p[n + 1] - p[n]
-        if step not in (1, 2):
-            return Counterexample(n, "step in {1, 2}", step)
-        return None
-
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
-
-
-def _check_q_steps(table: PairTable, n_max: int):
-    q = table.q
-
-    def instance(n):
-        step = q[n + 1] - q[n]
-        if step not in (2, 3):
-            return Counterexample(n, "step in {2, 3}", step)
-        return None
-
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
-
-
-def _check_no_triple_p(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        if p[n + 1] == p[n] + 1 and p[n + 2] == p[n] + 2:
-            return Counterexample(
-                n, "no three consecutive", f"{p[n]}, {p[n] + 1}, {p[n] + 2}"
-            )
-        return None
-
-    return 1, n_max - 2, _scan(1, n_max - 2, instance)
-
-
-def _check_q_from_pp(table: PairTable, n_max: int):
-    p, q = table.p, table.q
-    hi = _index_bound(p, n_max)
-
-    def instance(n):
-        want = p[p[n]] + 1
-        if q[n] != want:
-            return Counterexample(n, want, q[n])
-        return None
-
-    return 1, hi, _scan(1, hi, instance)
-
-
-def _check_step_two_iff_member(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        step = p[n + 1] - p[n]
-        member = _is_lower_value(p, n_max, n)
-        if (step == 2) != member:
-            return Counterexample(
-                n, "step 2 iff n in lower sequence", f"step={step}, member={member}"
-            )
-        return None
-
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
-
-
-def _check_next_p_count(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        want = table.next_p_via_count(n)
-        if p[n + 1] != want:
-            return Counterexample(n, want, p[n + 1])
-        return None
-
-    return 1, n_max - 1, _scan(1, n_max - 1, instance)
-
-
-def _check_q_at_p(table: PairTable, n_max: int):
-    p, q = table.p, table.q
-    hi = _index_bound(p, n_max)
-
-    def instance(n):
-        want = p[n] + q[n] - 1
-        if q[p[n]] != want:
-            return Counterexample(n, want, q[p[n]])
-        return None
-
-    return 1, hi, _scan(1, hi, instance)
-
-
-def _check_p_at_q(table: PairTable, n_max: int):
-    p, q = table.p, table.q
-    hi = _index_bound(q, n_max)
-
-    def instance(n):
-        want = p[n] + q[n]
-        if p[q[n]] != want:
-            return Counterexample(n, want, p[q[n]])
-        return None
-
-    return 1, hi, _scan(1, hi, instance)
-
-
-def _check_pair_at_q(table: PairTable, n_max: int):
-    p, q = table.p, table.q
-    hi = _index_bound(q, n_max)
-
-    def instance(n):
-        want = (p[n] + q[n], p[n] + 2 * q[n])
-        got = (p[q[n]], q[q[n]])
-        if got != want:
-            return Counterexample(n, f"({want[0]}, {want[1]})", f"({got[0]}, {got[1]})")
-        return None
-
-    return 1, hi, _scan(1, hi, instance)
-
-
-def _check_cross_composition(table: PairTable, n_max: int):
-    p, q = table.p, table.q
-    hi = _index_bound(q, n_max)
-
-    def instance(n):
-        want = q[p[n]] + 1
-        if p[q[n]] != want:
-            return Counterexample(n, want, p[q[n]])
-        return None
-
-    return 1, hi, _scan(1, hi, instance)
-
-
-def _check_error_bounded(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        e = p[n] - beatty_p(n)
-        if e not in (-1, 0, 1):
-            return Counterexample(n, "e in {-1, 0, 1}", e)
-        return None
-
-    return 1, n_max, _scan(1, n_max, instance)
-
-
-def _check_error_zero(table: PairTable, n_max: int):
-    p = table.p
-
-    def instance(n):
-        e = p[n] - beatty_p(n)
-        if e != 0:
-            return Counterexample(n, 0, e)
-        return None
-
-    return 1, n_max, _scan(1, n_max, instance)
-
-
-def _check_game_equivalence(cap: int):
+def _game_equivalence(cap: int):
     table = build_recursive(cap // 2 + 2)
     expected = {(0, 0)}
     for n in range(1, table.n_max + 1):
@@ -321,54 +168,119 @@ def _check_game_equivalence(cap: int):
             expected.add((table.p[n], table.q[n]))
     solved = solve_retrograde(cap)
     actual = {(st.a, st.b) for st in solved.losing_states}
-    ces: list[Counterexample] = []
-    for a, b in sorted(actual - expected):
-        ces.append(Counterexample(a, "not losing", f"solver: ({a}, {b}) losing"))
-        if len(ces) >= MAX_COUNTEREXAMPLES:
-            return 0, cap, ces
-    for a, b in sorted(expected - actual):
-        ces.append(Counterexample(a, f"({a}, {b}) losing", "solver: not losing"))
-        if len(ces) >= MAX_COUNTEREXAMPLES:
-            break
-    return 0, cap, ces
+    ces = chain(
+        (
+            Counterexample(a, "not losing", f"solver: ({a}, {b}) losing")
+            for a, b in sorted(actual - expected)
+        ),
+        (
+            Counterexample(a, f"({a}, {b}) losing", "solver: not losing")
+            for a, b in sorted(expected - actual)
+        ),
+    )
+    return 0, cap, _capped(ces)
 
 
-def _check_prime_gap_claim(prime_n_max: int):
+def _prime_gap_claim(prime_n_max: int):
     if prime_n_max < 3:
         return 3, prime_n_max, []
     table = build_prime_gap(sieve_limit_for(prime_n_max))
-    ces: list[Counterexample] = []
-    for n in range(3, prime_n_max + 1):
-        ev = check_prime_claim(table, n)
-        if not ev.holds:
-            ces.append(Counterexample(n, ev.p_n - 1, ev.q_at_index))
-            if len(ces) >= MAX_COUNTEREXAMPLES:
-                break
-    return 3, prime_n_max, ces
-
-
-REGISTRY: dict[str, Identity] = {
-    ident.identity_id: ident
-    for ident in (
-        Identity("L1", "lower sequence strictly increasing", "table", _check_p_increasing),
-        Identity("C2", "no two adjacent integers in the upper sequence", "table", _check_no_adjacent_q),
-        Identity("L2", "the two sequences partition the positive integers", "table", _check_partition),
-        Identity("L3", "lower-sequence steps are 1 or 2", "table", _check_p_steps),
-        Identity("C-dq", "upper-sequence steps are 2 or 3", "table", _check_q_steps),
-        Identity("C-no3p", "no three consecutive integers in the lower sequence", "table", _check_no_triple_p),
-        Identity("L4", "q(n) = p(p(n)) + 1", "table", _check_q_from_pp),
-        Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _check_step_two_iff_member),
-        Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _check_next_p_count),
-        Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _check_q_at_p),
-        Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _check_p_at_q),
-        Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _check_pair_at_q),
-        Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _check_cross_composition),
-        Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _check_error_bounded),
-        Identity("E-zero", "recursive equals closed form exactly", "table", _check_error_zero, conjecture=True),
-        Identity("game-equiv", "retrograde losing set equals the pair set", "game", _check_game_equivalence),
-        Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _check_prime_gap_claim),
+    evidence = (check_prime_claim(table, n) for n in range(3, prime_n_max + 1))
+    ces = (
+        Counterexample(ev.n, ev.p_n - 1, ev.q_at_index)
+        for ev in evidence
+        if not ev.holds
     )
-}
+    return 3, prime_n_max, _capped(ces)
+
+
+# One row per identity.  A table row pairs a range rule, the last n it may
+# check without reading past n_max, with its per-n rule.
+_IDENTITIES = (
+    Identity("L1", "lower sequence strictly increasing", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: None if p[n] < p[n + 1] else (f"> {p[n]}", p[n + 1]),
+    )),
+    Identity("C2", "no two adjacent integers in the upper sequence", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: None if (gap := q[n + 1] - q[n]) >= 2 else ("gap >= 2", gap),
+    )),
+    Identity("L2", "the two sequences partition the positive integers", "table", _partition),
+    Identity("L3", "lower-sequence steps are 1 or 2", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: None if (s := p[n + 1] - p[n]) in (1, 2) else ("step in {1, 2}", s),
+    )),
+    Identity("C-dq", "upper-sequence steps are 2 or 3", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: None if (s := q[n + 1] - q[n]) in (2, 3) else ("step in {2, 3}", s),
+    )),
+    Identity("C-no3p", "no three consecutive integers in the lower sequence", "table", _table_rule(
+        lambda t, m: m - 2,
+        lambda n, p, q, m: (
+            None if p[n + 1] != p[n] + 1 or p[n + 2] != p[n] + 2
+            else ("no three consecutive", f"{p[n]}, {p[n] + 1}, {p[n] + 2}")
+        ),
+    )),
+    Identity("L4", "q(n) = p(p(n)) + 1", "table", _table_rule(
+        lambda t, m: _index_bound(t.p, m),
+        lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
+            None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
+        ),
+    )),
+    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: (
+            None if (p[n + 1] - p[n] == 2) == _is_lower_value(p, m, n)
+            else (
+                "step 2 iff n in lower sequence",
+                f"step={p[n + 1] - p[n]}, member={_is_lower_value(p, m, n)}",
+            )
+        ),
+    )),
+    # the lower values up to n are the p(i) <= n, all with i <= n as p(i) >= i
+    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _table_rule(
+        lambda t, m: m - 1,
+        lambda n, p, q, m: (
+            None if (want := bisect_right(p, n, 1, n + 1) + n) == (got := p[n + 1])
+            else (want, got)
+        ),
+    )),
+    Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _table_rule(
+        lambda t, m: _index_bound(t.p, m),
+        lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
+            None if (want := p[n] + q[n] - 1) == (got := q[p[n]]) else (want, got)
+        ),
+    )),
+    Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _table_rule(
+        lambda t, m: _index_bound(t.q, m),
+        lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
+            None if (want := p[n] + q[n]) == (got := p[q[n]]) else (want, got)
+        ),
+    )),
+    Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _table_rule(
+        lambda t, m: _index_bound(t.q, m),
+        lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
+            None if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (p[q[n]], q[q[n]]))
+            else (str(want), str(got))
+        ),
+    )),
+    Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _table_rule(
+        lambda t, m: _index_bound(t.q, m),
+        lambda n, p, q, m: _OUTSIDE if p[n] < 1 or q[n] < 1 else (
+            None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
+        ),
+    )),
+    Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
+        lambda t, m: m, _error_rule((-1, 0, 1), "e in {-1, 0, 1}"),
+    )),
+    Identity("E-zero", "recursive equals closed form exactly", "table", _table_rule(
+        lambda t, m: m, _error_rule((0,), 0),
+    ), conjecture=True),
+    Identity("game-equiv", "retrograde losing set equals the pair set", "game", _game_equivalence),
+    Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _prime_gap_claim),
+)
+
+REGISTRY: dict[str, Identity] = {ident.identity_id: ident for ident in _IDENTITIES}
 
 IDENTITY_IDS: tuple[str, ...] = tuple(REGISTRY)
 

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wythoff
 from wythoff import VerificationReport, build_recursive
 from wythoff.cli import main
 
@@ -256,3 +261,17 @@ class TestPrimes:
         row = payload["rows"][0]
         assert isinstance(row["p_n"], int)
         assert row["holds"] is True
+
+
+def test_runs_as_module():
+    src = str(Path(wythoff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "wythoff.cli", "gen", "--n-max", "3", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "n,p,q\n1,1,2\n2,3,5\n3,4,7\n"

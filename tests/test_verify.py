@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wythoff import (
     IDENTITY_IDS,
@@ -174,6 +176,62 @@ class TestFaultInjection:
         rep = verify_identity("E-zero", 300, corrupt)
         assert not rep.passed
         assert len(rep.counterexamples) == 10
+
+
+PRISTINE_1000 = build_recursive(1000)
+TABLE_IDS = [i for i in ALL_IDS if REGISTRY[i].kind == "table"]
+
+
+class TestCorruptedTable:
+    """A corrupted table yields failed reports, never an exception."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["p", "q"]),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    )
+    @example("p", 5, 10**6)  # composition lookup past the end of the table
+    @example("p", 300, 5000)
+    @example("p", 40, -(10**6))  # a value below -len(marks) in L2
+    @example("p", 1000, -2000)  # negative p(n_max), the end of L2's range
+    @example("p", 1, -2)  # a small negative value must not wrap in L2
+    @example("q", 1, -(10**6))
+    @example("q", 600, 10**6)
+    def test_single_entry_corruption_fails_without_raising(self, array, index, delta):
+        corrupt = PRISTINE_1000.copy()
+        getattr(corrupt, array)[index] += delta
+        reports = [verify_identity(i, 1000, corrupt) for i in TABLE_IDS]
+        assert any(not r.passed for r in reports)
+
+    def test_lookup_outside_table_is_a_counterexample(self):
+        corrupt = PRISTINE_1000.copy()
+        corrupt.p[5] += 10**6
+        rep = verify_identity("L4", 1000, corrupt)
+        assert rep.counterexamples[0].to_dict() == {
+            "n": 5,
+            "expected": "index inside the table",
+            "actual": "index outside the table",
+        }
+
+    @pytest.mark.parametrize("identity_id", ["L4", "C-qp", "C-final"])
+    def test_negative_lookup_does_not_wrap_around(self, identity_id):
+        corrupt = PRISTINE_1000.copy()
+        corrupt.p[3] = -2
+        by_n = {ce.n: ce for ce in verify_identity(identity_id, 1000, corrupt).counterexamples}
+        assert by_n[3].actual == "index outside the table"
+
+    def test_negative_value_is_no_false_duplicate(self):
+        reports = fault_injected_reports(1000, index=1, delta=-2)
+        l2 = {r.identity_id: r for r in reports}["L2"]
+        assert not l2.passed
+        assert all(ce.actual == "neither" for ce in l2.counterexamples)
+
+    def test_negative_top_is_an_empty_partition_range(self):
+        corrupt = PRISTINE_1000.copy()
+        corrupt.p[1000] = -5
+        rep = verify_identity("L2", 1000, corrupt)
+        assert (rep.lo, rep.hi, rep.passed) == (1, -5, True)
 
 
 class TestReportOutput:
