@@ -6,8 +6,18 @@ prime analogue.  Machine formats (csv, json) are bit-stable: fixed
 field order, integers only, no timings; summaries and diagnostics go to
 stderr so the data stream stays parseable.
 
+The machine formats stream: rows go from their producer to the writer
+one at a time, so ``gen --method recursive``/``both`` and ``error-term``
+hold the pair table and never a second copy of it as rows, and
+``gen --method beatty`` runs in constant memory.  ``--format table``
+buffers its rows to measure column widths, and ``primes`` builds its
+rows first so an undersized sieve fails before any output.  Every
+command computes what can fail before it opens stdout or ``--out``, so
+a failing command writes nothing.
+
 Exit codes: 0 success, 1 a verification failed or the queried position
-is losing, 2 argument errors, 3 capacity limits.
+is losing, 2 argument errors, 3 capacity limits (brute-force cap, sieve,
+table and solver ceilings).
 """
 
 from __future__ import annotations
@@ -18,17 +28,21 @@ import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 import click
 
 from .errors import CapacityError, WythoffError
 from .game import GameState, Move, MoveKind, best_move, is_losing, solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
-from .sequences import beatty_p, beatty_q, build_recursive
+from .sequences import beatty_p, build_recursive
 from .verify import REGISTRY, report_text, verify_all, verify_identity
 
 _FORMATS = click.Choice(["table", "csv", "json"])
+
+# Encodes one json row; _write_json indents it to its depth in the payload.
+_JSON_ROW = json.JSONEncoder(indent=2)
 
 
 def _engine_errors(f):
@@ -49,6 +63,7 @@ def _engine_errors(f):
 
 
 def _token(value) -> str:
+    """A table cell, or a csv bool: true / false rather than Python's True."""
     if value is True:
         return "true"
     if value is False:
@@ -68,16 +83,21 @@ def _write_table(stream, headers, rows) -> None:
 
 
 def _write_csv(stream, headers, rows) -> None:
+    """Rows hold ints and strs only; a bool must already be a _token."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_token(v) for v in row])
+    writer.writerows(rows)
 
 
-def _write_json(stream, command, arguments, row_dicts) -> None:
-    payload = {"meta": {"command": command, "arguments": arguments}, "rows": row_dicts}
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+def _write_json(stream, command, arguments, row_dicts: Iterable[dict]) -> None:
+    """The bytes of json.dump(payload, indent=2), written one row at a time."""
+    head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
+    stream.write(head[: -len("\n}")] + ',\n  "rows": [')
+    sep = "\n"
+    for row in row_dicts:
+        stream.write(sep + "    " + _JSON_ROW.encode(row).replace("\n", "\n    "))
+        sep = ",\n"
+    stream.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _output(out):
@@ -88,13 +108,13 @@ def _output(out):
 
 
 def _emit(stream, fmt, command, arguments, headers, rows) -> None:
-    """Write rows to the stream in the chosen format."""
+    """Write rows, consumed once and in order, to the stream in the chosen format."""
     if fmt == "table":
         _write_table(stream, headers, rows)
     elif fmt == "csv":
         _write_csv(stream, headers, rows)
     else:
-        _write_json(stream, command, arguments, [dict(zip(headers, row)) for row in rows])
+        _write_json(stream, command, arguments, (dict(zip(headers, row)) for row in rows))
 
 
 def _summary(stream, fmt, line: str) -> None:
@@ -105,12 +125,15 @@ def _summary(stream, fmt, line: str) -> None:
         click.echo(line, err=True)
 
 
-def _error_rows(n_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """(n, p_rec, p_beatty, e) for n in [1, n_max], e = p_rec - p_beatty."""
+def _rec_and_closed(n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, p_rec, p_beatty) for n in [1, n_max].
+
+    The table is built now, so a capacity error comes before any output;
+    only its p is kept, and the closed form is evaluated as rows are read.
+    """
     p = build_recursive(n_max).p
-    for n in range(1, n_max + 1):
-        pb = beatty_p(n)
-        yield n, p[n], pb, p[n] - pb
+    ns = range(1, n_max + 1)
+    return zip(ns, islice(p, 1, None), map(beatty_p, ns))
 
 
 def _describe_move(move: Move, x: int, y: int) -> str:
@@ -143,17 +166,18 @@ def main():
 def gen(n_max, method, fmt, out):
     """Emit the first N sequence pairs (recursion, closed form, or both)."""
     arguments = {"n_max": n_max, "method": method, "format": fmt}
+    ns = range(1, n_max + 1)
+    # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
     if method == "recursive":
         table = build_recursive(n_max)
         headers = ["n", "p", "q"]
-        rows = [[n, table.p[n], table.q[n]] for n in range(1, n_max + 1)]
+        rows = zip(ns, islice(table.p, 1, None), islice(table.q, 1, None))
     elif method == "beatty":
         headers = ["n", "p", "q"]
-        rows = [[n, beatty_p(n), beatty_q(n)] for n in range(1, n_max + 1)]
+        rows = ((n, pb, pb + n) for n, pb in zip(ns, map(beatty_p, ns)))
     else:
-        # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
-        rows = [[n, p, p + n, pb, pb + n, e] for n, p, pb, e in _error_rows(n_max)]
+        rows = ((n, p, p + n, pb, pb + n, p - pb) for n, p, pb in _rec_and_closed(n_max))
     with _output(out) as stream:
         _emit(stream, fmt, "gen", arguments, headers, rows)
 
@@ -197,13 +221,13 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
             stream.writelines(report_text(r) + "\n" for r in reports)
         elif fmt == "csv":
             headers = ["identity", "lo", "hi", "passed", "counterexamples"]
-            rows = [
-                [r.identity_id, r.lo, r.hi, r.passed, len(r.counterexamples)]
+            rows = (
+                (r.identity_id, r.lo, r.hi, _token(r.passed), len(r.counterexamples))
                 for r in reports
-            ]
+            )
             _write_csv(stream, headers, rows)
         else:
-            _write_json(stream, "verify", arguments, [r.to_dict() for r in reports])
+            _write_json(stream, "verify", arguments, (r.to_dict() for r in reports))
         _summary(
             stream,
             fmt,
@@ -264,11 +288,18 @@ def best_move_cmd(a, b):
 def error_term(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
-    rows = list(_error_rows(n_max))
-    counts = Counter(row[3] for row in rows)
-    rendered = ", ".join(f"{e}: {counts[e]}" for e in sorted(counts))
+    pairs = _rec_and_closed(n_max)
+    counts: Counter[int] = Counter()
+
+    def rows():
+        for n, p, pb in pairs:
+            e = p - pb
+            counts[e] += 1
+            yield n, p, pb, e
+
     with _output(out) as stream:
-        _emit(stream, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows)
+        _emit(stream, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows())
+        rendered = ", ".join(f"{e}: {counts[e]}" for e in sorted(counts))
         _summary(stream, fmt, f"histogram {{{rendered}}}")
 
 
@@ -283,12 +314,13 @@ def primes(n_max, sieve_limit, fmt, out):
     limit = sieve_limit if sieve_limit is not None else sieve_limit_for(n_max)
     table = build_prime_gap(limit)
     headers = ["n", "p_n", "index", "q_at_index", "holds"]
-    rows = []
-    for n in range(3, n_max + 1):
-        ev = check_prime_claim(table, n)
-        rows.append([ev.n, ev.p_n, ev.index, ev.q_at_index, ev.holds])
+    # built before any output: an undersized sieve raises on some n
+    evidence = [check_prime_claim(table, n) for n in range(3, n_max + 1)]
+    # csv.writer would print Python's True / False; table and json render bools
+    holds = _token if fmt == "csv" else bool
+    rows = [(ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)) for ev in evidence]
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}
-    holding = sum(1 for row in rows if row[4])
+    holding = sum(ev.holds for ev in evidence)
     with _output(out) as stream:
         _emit(stream, fmt, "primes", arguments, headers, rows)
         _summary(stream, fmt, f"claim holds for {holding} of {len(rows)} indices")

@@ -29,6 +29,11 @@ from enum import Enum
 from .errors import CapacityError, IllegalMoveError, NoWinningMoveError, RangeError
 from .sequences import beatty_p
 
+# Largest cap solve_retrograde accepts.  The solver holds ~10.5 bytes per
+# state and peaks at ~18.5 while it builds (21 and 37 MB for the 2.0M states
+# of cap 2000), so the 50M states of cap 10^4 come to ~0.5 GB, ~0.9 GB peak.
+_SOLVE_CAP = 10_000
+
 
 class MoveKind(Enum):
     """Move families: pile A is the smaller pile, pile B the larger."""
@@ -174,10 +179,14 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
     every successor before the states that reach it.  Per-coordinate
     partner lists and per-difference diagonal lists make each winning
     test a constant-time inspection of the smallest recorded entry,
-    giving O(cap^2) overall work for the O(cap^2) states.
+    giving O(cap^2) overall work for the O(cap^2) states.  A cap above
+    the solver ceiling raises :class:`CapacityError` before anything is
+    allocated.
     """
     if cap < 0:
         raise RangeError(f"cap must be >= 0, got {cap}")
+    if cap > _SOLVE_CAP:
+        raise CapacityError(f"cap {cap} exceeds the solver bound {_SOLVE_CAP}")
 
     size = (cap + 1) * (cap + 2) // 2
     off = [0] * (cap + 1)

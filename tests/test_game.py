@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wythoff.game
 from wythoff import (
     CapacityError,
     GameState,
@@ -145,6 +146,14 @@ class TestRetrogradeSolver:
     def test_negative_cap(self):
         with pytest.raises(RangeError):
             solve_retrograde(-1)
+
+    def test_solver_ceiling(self, monkeypatch):
+        # checked before anything is allocated; lowered so a missing check
+        # cannot make the test solve a huge cap
+        monkeypatch.setattr(wythoff.game, "_SOLVE_CAP", 30)
+        assert solve_retrograde(30).cap == 30
+        with pytest.raises(CapacityError, match="solver bound 30"):
+            solve_retrograde(31)
 
     def test_cap_zero(self):
         solved = solve_retrograde(0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wythoff.sequences
 from wythoff import (
     CapacityError,
     RangeError,
@@ -62,6 +63,14 @@ class TestBuildRecursive:
             build_recursive(0)
         with pytest.raises(RangeError):
             build_recursive(-3)
+
+    def test_table_ceiling(self, monkeypatch):
+        # checked before anything is allocated; lowered so a missing check
+        # cannot make the test build a huge table
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        assert build_recursive(100).n_max == 100
+        with pytest.raises(CapacityError, match="table bound 100"):
+            build_recursive(101)
 
     def test_single_entry(self):
         t = build_recursive(1)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wythoff.game
+import wythoff.sequences
 from wythoff import (
     IDENTITY_IDS,
     REGISTRY,
@@ -137,6 +139,25 @@ class TestVerifyAll:
         assert not by_id["prime-claim"].passed
         assert "CapacityError" in str(by_id["prime-claim"].counterexamples[0].actual)
         assert all(r.passed for r in reports if r.identity_id != "prime-claim")
+
+    @pytest.mark.parametrize(
+        "module,ceiling,args,failing_kind",
+        [
+            (wythoff.sequences, "_TABLE_CAP", (101, 30, 10), "table"),
+            (wythoff.game, "_SOLVE_CAP", (50, 101, 10), "game"),
+        ],
+    )
+    def test_ceiling_becomes_failed_reports(
+        self, monkeypatch, module, ceiling, args, failing_kind
+    ):
+        # lowered to 100 so a missing check cannot allocate anything large
+        monkeypatch.setattr(module, ceiling, 100)
+        for rep in verify_all(*args):
+            if REGISTRY[rep.identity_id].kind == failing_kind:
+                assert not rep.passed
+                assert "CapacityError" in rep.counterexamples[0].actual
+            else:
+                assert rep.passed
 
     def test_passed_iff_no_counterexamples(self):
         for rep in verify_all(100, 30, 20) + fault_injected_reports(100):
