@@ -194,7 +194,7 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
         off[a] = off[a - 1] + (cap - a + 2)
     outcome = bytearray(size)
     wkind = bytearray(size)
-    wamt = array("q", bytes(8 * size))
+    wamt = array("q", [0]) * size
 
     losing: list[GameState] = []
     # partners[v]: other coordinates of losing states containing v, ascending.

@@ -6,8 +6,7 @@ Two independent constructions of the same pair of sequences live here.
 and the upper sequence q = 2, 5, 7, 10, 13, ... by the minimal-excludant
 rule: p(1) = 1, q(n) = p(n) + n, and p(n+1) is the smallest positive
 integer not yet used by either sequence.  Together the two sequences
-partition the positive integers, and the builder records a membership
-index over the full covered span.
+partition the positive integers.
 
 ``beatty_p`` / ``beatty_q`` compute the same values in closed form as
 floor(n*phi) and floor(n*phi^2), where phi is the golden ratio, using
@@ -18,7 +17,6 @@ for the other; ``error_term`` measures their pointwise difference.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -26,11 +24,8 @@ from math import isqrt
 
 from .errors import CapacityError, RangeError
 
-_P_MARK = 1
-_Q_MARK = 2
-
-# Largest n_max build_recursive accepts.  A build peaks at ~125 bytes per
-# pair (141.6 MiB RSS at 10^6), so the ceiling is ~1.3 GB.
+# Largest n_max build_recursive accepts.  A build peaks at ~85 bytes per
+# pair (94.9 MiB RSS at 10^6), so the ceiling is ~0.9 GB.
 _TABLE_CAP = 10_000_000
 
 
@@ -87,49 +82,33 @@ def floor_inv_phi(n: int) -> int:
 
 
 class PairTable:
-    """Materialized prefix of the coupled sequences with a membership index.
+    """Materialized prefix of the coupled sequences.
 
     ``p`` and ``q`` are 1-indexed lists (slot 0 is an unused sentinel)
-    holding the first ``n_max`` terms of each sequence.  The membership
-    index covers every integer in [1, span] where ``span = q(n_max)``;
-    within that span each integer belongs to exactly one sequence.
-    Membership indices for the lower sequence may exceed ``n_max``: the
-    lower sequence runs ahead of the part of the prefix whose upper
-    partner is still in range.
+    holding the first ``n_max`` terms of each sequence.  Every integer
+    in [1, span], where ``span = q(n_max)``, belongs to exactly one
+    sequence.  Lower-sequence indices of integers in the span may exceed
+    ``n_max``: the lower sequence runs ahead of the part of the prefix
+    whose upper partner is still in range.
 
     Tables are built by :func:`build_recursive`; a completed table is
     treated as immutable and is safe to share across threads.
     """
 
-    __slots__ = ("n_max", "p", "q", "span", "_kind", "_kind_index")
+    __slots__ = ("n_max", "p", "q", "span")
 
-    def __init__(
-        self,
-        n_max: int,
-        p: list[int],
-        q: list[int],
-        kind: bytearray,
-        kind_index: array,
-    ):
+    def __init__(self, n_max: int, p: list[int], q: list[int]):
         self.n_max = n_max
         self.p = p
         self.q = q
         self.span = q[n_max]
-        self._kind = kind
-        self._kind_index = kind_index
 
     def __repr__(self) -> str:
         return f"PairTable(n_max={self.n_max}, span={self.span})"
 
     def copy(self) -> "PairTable":
         """Independent deep copy (useful for fault-injection self-tests)."""
-        return PairTable(
-            self.n_max,
-            list(self.p),
-            list(self.q),
-            bytearray(self._kind),
-            array("q", self._kind_index),
-        )
+        return PairTable(self.n_max, list(self.p), list(self.q))
 
     def p_at(self, n: int) -> int:
         """p(n) with a range check, 1 <= n <= n_max."""
@@ -144,11 +123,17 @@ class PairTable:
         return self.q[n]
 
     def classify_integer(self, m: int) -> Membership:
-        """The unique (kind, index) with p(index) = m or q(index) = m."""
+        """The unique (kind, index) with p(index) = m or q(index) = m.
+
+        The two sequences partition the positive integers, so with i upper
+        values <= m, m is either q(i) or the (m - i)-th lower value.
+        """
         if not 1 <= m <= self.span:
             raise RangeError(f"{m} outside the indexed span [1, {self.span}]")
-        kind = SeqKind.P if self._kind[m] == _P_MARK else SeqKind.Q
-        return Membership(kind, self._kind_index[m])
+        i = bisect_right(self.q, m, 1, self.n_max + 1) - 1
+        if self.q[i] == m:
+            return Membership(SeqKind.Q, i)
+        return Membership(SeqKind.P, m - i)
 
     def error_term(self, n: int) -> ErrorRecord:
         """Gap record between the recursive p(n) and floor(n*phi)."""
@@ -176,10 +161,7 @@ def build_recursive(n_max: int) -> PairTable:
     """Build the first n_max pairs by the minimal-excludant recursion.
 
     A rolling cursor tracks the smallest integer not yet assigned to
-    either sequence, giving O(q(n_max)) construction time.  After the
-    n_max recorded pairs, the recursion keeps assigning lower-sequence
-    members until the membership index covers all of [1, q(n_max)]
-    (upper values past the span are irrelevant to membership below it).
+    either sequence, giving O(q(n_max)) construction time.
 
     The occupancy structure is preallocated at 3*n_max + 2 cells, which
     the step bound p(n+1) - p(n) <= 2 guarantees is enough; exceeding it
@@ -191,8 +173,7 @@ def build_recursive(n_max: int) -> PairTable:
     if n_max > _TABLE_CAP:
         raise CapacityError(f"n_max {n_max} exceeds the table bound {_TABLE_CAP}")
     cap = 3 * n_max + 2
-    kind = bytearray(cap + 2)
-    kidx = array("q", bytes(8 * (cap + 2)))
+    used = bytearray(cap + 2)
     p = [0] * (n_max + 1)
     q = [0] * (n_max + 1)
 
@@ -202,25 +183,13 @@ def build_recursive(n_max: int) -> PairTable:
         qn = cursor + n
         if qn > cap:
             raise CapacityError(f"q({n}) = {qn} exceeds the index bound {cap}")
-        if kind[qn]:
+        if used[qn]:
             raise CapacityError(f"occupancy collision at {qn}; table corrupt")
         q[n] = qn
-        kind[cursor] = _P_MARK
-        kidx[cursor] = n
-        kind[qn] = _Q_MARK
-        kidx[qn] = n
+        used[cursor] = 1
+        used[qn] = 1
         cursor += 1
-        while kind[cursor]:
+        while used[cursor]:
             cursor += 1
 
-    span = q[n_max]
-    m = n_max
-    while cursor <= span:
-        m += 1
-        kind[cursor] = _P_MARK
-        kidx[cursor] = m
-        cursor += 1
-        while kind[cursor]:
-            cursor += 1
-
-    return PairTable(n_max, p, q, kind[: span + 1], kidx[: span + 1])
+    return PairTable(n_max, p, q)

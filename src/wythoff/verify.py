@@ -7,9 +7,9 @@ range rule giving the last n it may check, and a per-n rule, and one
 shared scan walks every such range.  Only the partition identity L2,
 which walks values rather than indices, keeps its own loop.  Every
 identity caps its counterexamples through the same helper.
-The rules read only the public sequence arrays (never the membership
-cache), so a corrupted table entry is always visible to them, and a
-lookup the corruption sends outside the table becomes a counterexample.
+The rules read only the public sequence arrays, so a corrupted table
+entry is always visible to them, and a lookup the corruption sends
+outside the table becomes a counterexample.
 A corrupted table therefore yields failed reports, never an exception;
 `fault_injected_reports` turns that into a self-test of the suite itself.
 
@@ -322,21 +322,24 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run the whole registry; engine errors become failed reports.
 
-    Table identities share one table built at n_max; "game" identities
-    run at game_cap and "prime" identities at prime_n_max.  The result
-    list always covers the registry in order, never aborting early.
+    Table identities share one table built at n_max, and a failed build
+    fails each of them with that one error; "game" identities run at
+    game_cap and "prime" identities at prime_n_max.  The result list
+    always covers the registry in order, never aborting early.
     """
     if n_max < 1 or game_cap < 1 or prime_n_max < 1:
         raise RangeError("all range arguments must be >= 1")
-    table: PairTable | None
+    table: PairTable | None = None
     try:
         table = build_recursive(n_max)
-    except WythoffError:
-        table = None
+    except WythoffError as exc:
+        build_error = exc
     bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
     reports = []
     for ident in REGISTRY.values():
         try:
+            if ident.kind == "table" and table is None:
+                raise build_error
             reports.append(verify_identity(ident.identity_id, bounds[ident.kind], table))
         except WythoffError as exc:
             failure = Counterexample(0, "no error", f"{type(exc).__name__}: {exc}")

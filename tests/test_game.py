@@ -1,5 +1,7 @@
 """Game rules, the retrograde solver, and the closed-form play engine."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,18 @@ class TestRetrogradeSolver:
     def test_cap_zero(self):
         solved = solve_retrograde(0)
         assert [(s.a, s.b) for s in solved.losing_states] == [(0, 0)]
+
+    def test_peak_memory_near_held(self):
+        # the state arrays are allocated once, at their final size; a
+        # table-sized temporary would lift the peak well above the result
+        tracemalloc.start()
+        try:
+            solved = solve_retrograde(500)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solved.cap == 500
+        assert peak <= 1.15 * held
 
 
 class TestClosedForm:

@@ -1,5 +1,7 @@
 """Sequence construction, closed-form kernels, and the table API."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,18 @@ class TestBuildRecursive:
         assert (t.p[1], t.q[1]) == (1, 2)
         assert t.span == 2
 
+    def test_peak_memory_near_held(self):
+        # the build keeps only p and q; a second table-sized temporary
+        # would lift the peak well above what the finished table holds
+        tracemalloc.start()
+        try:
+            t = build_recursive(50_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.n_max == 50_000
+        assert peak <= 1.15 * held
+
 
 class TestClosedForm:
     def test_known_values(self):
@@ -137,7 +151,11 @@ class TestPairTable:
         first = table.classify_integer(2)
         assert (first.kind, first.index) == (SeqKind.Q, 1)
 
-    def test_classify_covers_span(self, table):
+    # every span starts at m = 1, below the first upper value; from n_max 2
+    # on, the span also ends in lower values whose indices exceed n_max
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 500])
+    def test_classify_covers_span(self, n_max):
+        table = build_recursive(n_max)
         for v in range(1, table.span + 1):
             m = table.classify_integer(v)
             if m.kind is SeqKind.P:

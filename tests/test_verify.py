@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wythoff.game
 import wythoff.sequences
+import wythoff.verify
 from wythoff import (
     IDENTITY_IDS,
     REGISTRY,
@@ -158,6 +159,26 @@ class TestVerifyAll:
                 assert "CapacityError" in rep.counterexamples[0].actual
             else:
                 assert rep.passed
+
+    def test_failed_table_build_is_not_repeated(self, monkeypatch):
+        # one build for the table identities, one for game-equiv's own table
+        calls = []
+
+        def counting_build(n_max):
+            calls.append(n_max)
+            return build_recursive(n_max)
+
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        monkeypatch.setattr(wythoff.verify, "build_recursive", counting_build)
+        reports = verify_all(101, 30, 10)
+        assert calls == [101, 17]
+        for rep in reports:
+            if REGISTRY[rep.identity_id].kind == "table":
+                assert [ce.to_dict() for ce in rep.counterexamples] == [{
+                    "n": 0,
+                    "expected": "no error",
+                    "actual": "CapacityError: n_max 101 exceeds the table bound 100",
+                }]
 
     def test_passed_iff_no_counterexamples(self):
         for rep in verify_all(100, 30, 20) + fault_injected_reports(100):
