@@ -22,16 +22,15 @@ Three independent engines answer "who wins here?":
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CapacityError, IllegalMoveError, NoWinningMoveError, RangeError
 from .sequences import beatty_p
 
-# Largest cap solve_retrograde accepts.  The solver holds ~10.5 bytes per
-# state and peaks at ~18.5 while it builds (21 and 37 MB for the 2.0M states
-# of cap 2000), so the 50M states of cap 10^4 come to ~0.5 GB, ~0.9 GB peak.
+# Largest cap solve_retrograde accepts.  The solver holds ~9.1 bytes per
+# state and its peak is the same (17.4 MiB held and peak for the 2.0M states
+# of cap 2000), so the 50M states of cap 10^4 come to ~0.45 GB.
 _SOLVE_CAP = 10_000
 
 
@@ -130,13 +129,14 @@ def apply_move(state: GameState, move: Move) -> GameState:
 class RetrogradeTable:
     """Solved outcomes for every state with larger pile <= cap.
 
-    Backed by flat triangular arrays indexed by (a, b - a); winning
-    entries store the witness move found first under the search order
-    take-from-both, take-from-A, take-from-B, each with ascending
-    amount.  Built by :func:`solve_retrograde`.
+    Backed by flat triangular arrays indexed by (a, b - a): a kind code
+    of 0 marks a losing state, and 1-3 name the witness move of a
+    winning one, found first under the search order take-from-both,
+    take-from-A, take-from-B, each with ascending amount.  Built by
+    :func:`solve_retrograde`.
     """
 
-    __slots__ = ("cap", "losing_states", "_off", "_outcome", "_wkind", "_wamt")
+    __slots__ = ("cap", "losing_states", "_off", "_wkind", "_wamt")
 
     _CODE_TO_KIND = {1: MoveKind.TAKE_BOTH, 2: MoveKind.TAKE_A, 3: MoveKind.TAKE_B}
 
@@ -145,14 +145,12 @@ class RetrogradeTable:
         cap: int,
         losing_states: list[GameState],
         off: list[int],
-        outcome: bytearray,
         wkind: bytearray,
         wamt: array,
     ):
         self.cap = cap
         self.losing_states = losing_states
         self._off = off
-        self._outcome = outcome
         self._wkind = wkind
         self._wamt = wamt
 
@@ -166,7 +164,7 @@ class RetrogradeTable:
                 f"state ({state.a}, {state.b}) outside solved range (cap {self.cap})"
             )
         i = self._off[state.a] + state.diff
-        if not self._outcome[i]:
+        if not self._wkind[i]:
             return Classification(state, Outcome.LOSING)
         move = Move(self._CODE_TO_KIND[self._wkind[i]], self._wamt[i])
         return Classification(state, Outcome.WINNING, move)
@@ -176,12 +174,14 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
     """Solve every state with larger pile <= cap by increasing chip total.
 
     All moves strictly shrink the total, so sweeping totals upward sees
-    every successor before the states that reach it.  Per-coordinate
-    partner lists and per-difference diagonal lists make each winning
-    test a constant-time inspection of the smallest recorded entry,
-    giving O(cap^2) overall work for the O(cap^2) states.  A cap above
-    the solver ceiling raises :class:`CapacityError` before anything is
-    allocated.
+    every successor before the states that reach it.  Each pile size and
+    each difference keeps only the latest losing state recorded on its
+    line: every recorded state on a line has a smaller total than the
+    current one, so the latest is the nearest, which is the
+    smallest-amount witness.
+    Each winning test is thus a constant-time lookup, giving O(cap^2)
+    overall work for the O(cap^2) states.  A cap above the solver
+    ceiling raises :class:`CapacityError` before anything is allocated.
     """
     if cap < 0:
         raise RangeError(f"cap must be >= 0, got {cap}")
@@ -192,15 +192,14 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
     off = [0] * (cap + 1)
     for a in range(1, cap + 1):
         off[a] = off[a - 1] + (cap - a + 2)
-    outcome = bytearray(size)
     wkind = bytearray(size)
     wamt = array("q", [0]) * size
 
     losing: list[GameState] = []
-    # partners[v]: other coordinates of losing states containing v, ascending.
-    partners: list[list[int]] = [[] for _ in range(cap + 1)]
-    # diag[d]: smaller coordinates of losing states with difference d, ascending.
-    diag: list[list[int]] = [[] for _ in range(cap + 1)]
+    # partner[v]: other coordinate of the latest losing state containing v, or -1.
+    partner = [-1] * (cap + 1)
+    # diag[d]: smaller coordinate of the latest losing state with difference d, or -1.
+    diag = [-1] * (cap + 1)
 
     for s in range(2 * cap + 1):
         for a in range(max(0, s - cap), s // 2 + 1):
@@ -208,33 +207,22 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
             d = b - a
             i = off[a] + d
 
-            dl = diag[d]
-            if dl and dl[0] < a:
-                outcome[i] = 1
+            if diag[d] >= 0:
                 wkind[i] = 1
-                wamt[i] = a - dl[bisect_left(dl, a) - 1]
-                continue
-            pb = partners[b]
-            if pb and pb[0] < a:
-                outcome[i] = 1
+                wamt[i] = a - diag[d]
+            elif partner[b] >= 0:
                 wkind[i] = 2
-                wamt[i] = a - pb[bisect_left(pb, a) - 1]
-                continue
-            pa = partners[a]
-            if pa and pa[0] < b:
-                outcome[i] = 1
+                wamt[i] = a - partner[b]
+            elif partner[a] >= 0:
                 wkind[i] = 3
-                wamt[i] = b - pa[bisect_left(pa, b) - 1]
-                continue
+                wamt[i] = b - partner[a]
+            else:
+                losing.append(GameState(a, b))
+                diag[d] = a
+                partner[a] = b
+                partner[b] = a
 
-            st = GameState(a, b)
-            losing.append(st)
-            diag[d].append(a)
-            partners[a].append(b)
-            if b != a:
-                partners[b].append(a)
-
-    return RetrogradeTable(cap, losing, off, outcome, wkind, wamt)
+    return RetrogradeTable(cap, losing, off, wkind, wamt)
 
 
 def _pair_partner(v: int) -> int:
@@ -256,9 +244,7 @@ def _pair_partner(v: int) -> int:
 def is_losing(state: GameState) -> bool:
     """Closed-form membership test for the losing set."""
     d = state.diff
-    if d == 0:
-        return state.a == 0
-    return state.a == beatty_p(d)
+    return state.a == (beatty_p(d) if d else 0)
 
 
 def classify_closed_form(state: GameState) -> Classification:
@@ -275,16 +261,18 @@ def best_move(state: GameState) -> Move:
     same-difference pair below (take-from-both), the pair completing the
     larger pile (take-from-A), and the pair completing the smaller pile
     (take-from-B).  Candidates are tried in that order, mirroring the
-    retrograde solver's witness search, and each is re-verified with the
-    closed-form test before being returned.
+    retrograde solver's witness search.  The take-from-both target is
+    the losing state of difference d by construction, so one kernel
+    call both classifies the state and aims that move; the two partner
+    candidates are re-verified with the closed-form test.
     """
-    if is_losing(state):
-        raise NoWinningMoveError(f"({state.a}, {state.b}) is losing; every move loses")
     a, b = state.a, state.b
     d = state.diff
 
     target_a = beatty_p(d) if d else 0
-    if target_a < a and is_losing(GameState(target_a, target_a + d)):
+    if a == target_a:
+        raise NoWinningMoveError(f"({a}, {b}) is losing; every move loses")
+    if target_a < a:
         return Move(MoveKind.TAKE_BOTH, a - target_a)
 
     other = _pair_partner(b)

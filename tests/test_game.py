@@ -163,15 +163,18 @@ class TestRetrogradeSolver:
 
     def test_peak_memory_near_held(self):
         # the state arrays are allocated once, at their final size; a
-        # table-sized temporary would lift the peak well above the result
+        # table-sized temporary would lift the peak well above the result,
+        # and a third per-state array would lift what is held
+        cap = 500
         tracemalloc.start()
         try:
-            solved = solve_retrograde(500)
+            solved = solve_retrograde(cap)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert solved.cap == 500
+        assert solved.cap == cap
         assert peak <= 1.15 * held
+        assert held < 10 * (cap + 1) * (cap + 2) // 2
 
 
 class TestClosedForm:
@@ -207,6 +210,19 @@ class TestBestMove:
         assert best_move(GameState(1, 1)) == Move(MoveKind.TAKE_BOTH, 1)
         assert best_move(GameState(2, 2)) == Move(MoveKind.TAKE_BOTH, 2)
         assert best_move(GameState(4, 5)) == Move(MoveKind.TAKE_BOTH, 3)
+
+    def test_take_both_makes_one_kernel_call(self, monkeypatch):
+        # the take-from-both target decides the state and aims the move
+        calls = []
+        kernel = wythoff.game.beatty_p
+
+        def counted(n):
+            calls.append(n)
+            return kernel(n)
+
+        monkeypatch.setattr(wythoff.game, "beatty_p", counted)
+        assert best_move(GameState(4, 5)) == Move(MoveKind.TAKE_BOTH, 3)
+        assert calls == [1]
 
     def test_losing_state_raises(self):
         for a, b in [(0, 0), (1, 2), (3, 5)]:
