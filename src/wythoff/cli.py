@@ -285,7 +285,7 @@ def best_move_cmd(a, b):
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @_engine_errors
-def error_term(n_max, fmt, out):
+def error_term_cmd(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
     pairs = _rec_and_closed(n_max)

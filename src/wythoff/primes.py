@@ -14,7 +14,6 @@ returns the full evidence either way.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isqrt, log
 
@@ -75,12 +74,6 @@ class PrimeGapTable:
                 f" composites, index {n} unavailable"
             )
         return self.composites[n - 1]
-
-    def count_composites_upto(self, m: int) -> int:
-        """How many composites are <= m (m within the sieve limit)."""
-        if not 0 <= m <= self.limit:
-            raise RangeError(f"{m} outside the sieved range [0, {self.limit}]")
-        return bisect_right(self.composites, m)
 
 
 def build_prime_gap(limit: int) -> PrimeGapTable:

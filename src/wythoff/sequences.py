@@ -12,7 +12,7 @@ partition the positive integers.
 floor(n*phi) and floor(n*phi^2), where phi is the golden ratio, using
 exact integer arithmetic only (no floating point at any width).  The two
 routes are deliberately kept independent so each can serve as an oracle
-for the other; ``error_term`` measures their pointwise difference.
+for the other.
 """
 
 from __future__ import annotations
@@ -44,20 +44,6 @@ class Membership:
     index: int
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Pointwise gap between the recursive p and the closed form.
-
-    ``e = p_n - floor_phi_n``.  Provably |e| <= 1 for genuine tables;
-    empirically e = 0 everywhere tested.
-    """
-
-    n: int
-    p_n: int
-    floor_phi_n: int
-    e: int
-
-
 def beatty_p(n: int) -> int:
     """floor(n*phi) by exact integer arithmetic, for n >= 1.
 
@@ -74,11 +60,6 @@ def beatty_p(n: int) -> int:
 def beatty_q(n: int) -> int:
     """floor(n*phi^2) for n >= 1; equals beatty_p(n) + n since phi^2 = phi + 1."""
     return beatty_p(n) + n
-
-
-def floor_inv_phi(n: int) -> int:
-    """floor(n/phi) for n >= 1; equals beatty_p(n) - n since 1/phi = phi - 1."""
-    return beatty_p(n) - n
 
 
 class PairTable:
@@ -107,20 +88,8 @@ class PairTable:
         return f"PairTable(n_max={self.n_max}, span={self.span})"
 
     def copy(self) -> "PairTable":
-        """Independent deep copy (useful for fault-injection self-tests)."""
+        """Independent deep copy, to corrupt without touching the original."""
         return PairTable(self.n_max, list(self.p), list(self.q))
-
-    def p_at(self, n: int) -> int:
-        """p(n) with a range check, 1 <= n <= n_max."""
-        if not 1 <= n <= self.n_max:
-            raise RangeError(f"index {n} outside [1, {self.n_max}]")
-        return self.p[n]
-
-    def q_at(self, n: int) -> int:
-        """q(n) with a range check, 1 <= n <= n_max."""
-        if not 1 <= n <= self.n_max:
-            raise RangeError(f"index {n} outside [1, {self.n_max}]")
-        return self.q[n]
 
     def classify_integer(self, m: int) -> Membership:
         """The unique (kind, index) with p(index) = m or q(index) = m.
@@ -134,27 +103,6 @@ class PairTable:
         if self.q[i] == m:
             return Membership(SeqKind.Q, i)
         return Membership(SeqKind.P, m - i)
-
-    def error_term(self, n: int) -> ErrorRecord:
-        """Gap record between the recursive p(n) and floor(n*phi)."""
-        if not 1 <= n <= self.n_max:
-            raise RangeError(f"index {n} outside [1, {self.n_max}]")
-        p_n = self.p[n]
-        target = beatty_p(n)
-        return ErrorRecord(n, p_n, target, p_n - target)
-
-    def next_p_via_count(self, n: int) -> int:
-        """p(n+1) computed by the self-referential counting rule.
-
-        Returns n + 1 plus the number of i in [1, n] that appear among
-        p(1)..p(n).  The value is computed from the counting rule alone
-        so it can be checked against the stored p(n+1) rather than
-        assumed equal; the identity suite's C3 applies the same rule.
-        """
-        if not 1 <= n < self.n_max:
-            raise RangeError(f"index {n} outside [1, {self.n_max - 1}]")
-        count = bisect_right(self.p, n, 1, n + 1) - 1
-        return count + n + 1
 
 
 def build_recursive(n_max: int) -> PairTable:

@@ -352,7 +352,7 @@ def verify_all(
 def fault_injected_reports(
     n_max: int = 1000, index: int = 17, delta: int = 1
 ) -> list[VerificationReport]:
-    """Re-run the table identities on a copy with p(index) shifted by delta.
+    """Re-run the table identities on a fresh table with p(index) shifted by delta.
 
     Self-test of the suite's sensitivity: a genuine table passes
     everything, so a single corrupted entry must flip at least one
@@ -362,7 +362,7 @@ def fault_injected_reports(
         raise RangeError("delta must be nonzero to inject a fault")
     if not 1 <= index <= n_max:
         raise RangeError(f"index {index} outside [1, {n_max}]")
-    corrupt = build_recursive(n_max).copy()
+    corrupt = build_recursive(n_max)
     corrupt.p[index] += delta
     return [
         verify_identity(ident.identity_id, n_max, corrupt)

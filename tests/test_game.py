@@ -16,15 +16,18 @@ from wythoff import (
     NoWinningMoveError,
     Outcome,
     RangeError,
+    SeqKind,
     apply_move,
     beatty_p,
     beatty_q,
     best_move,
+    build_recursive,
     classify_closed_form,
     is_losing,
     legal_moves,
     solve_retrograde,
 )
+from wythoff.game import _pair_partner
 
 
 def naive_solve(cap):
@@ -203,6 +206,30 @@ class TestClosedForm:
                     classify_closed_form(state).outcome
                     is solved.classify(state).outcome
                 ), (a, b)
+
+
+class TestPairPartner:
+    def test_matches_recursion(self):
+        # every value whose pair lies inside the table: 2 * n_max of them
+        table = build_recursive(2000)
+        checked = 0
+        for v in range(1, table.span + 1):
+            m = table.classify_integer(v)
+            if m.index > table.n_max:
+                continue
+            other = table.q if m.kind is SeqKind.P else table.p
+            assert _pair_partner(v) == other[m.index], v
+            checked += 1
+        assert checked == 2 * table.n_max
+        assert _pair_partner(0) == 0
+
+    @given(st.integers(min_value=10**100, max_value=10**1000))
+    @settings(max_examples=100, deadline=None)
+    def test_involution_at_scale(self, v):
+        w = _pair_partner(v)
+        assert w != v
+        assert _pair_partner(w) == v
+        assert is_losing(GameState.of(v, w))
 
 
 class TestBestMove:

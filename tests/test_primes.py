@@ -1,5 +1,7 @@
 """Prime/composite tables and the composite-index identity."""
 
+from bisect import bisect_right
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -61,14 +63,6 @@ class TestBuildPrimeGap:
         with pytest.raises(RangeError):
             t.composite_at(len(t.composites) + 1)
 
-    def test_count_composites(self):
-        t = build_prime_gap(100)
-        assert t.count_composites_upto(3) == 0
-        assert t.count_composites_upto(4) == 1
-        assert t.count_composites_upto(10) == 5
-        with pytest.raises(RangeError):
-            t.count_composites_upto(101)
-
 
 @pytest.fixture(scope="module")
 def table():
@@ -104,14 +98,14 @@ class TestPrimeClaim:
         # so prime(n) - n - 1 composites
         for n in range(3, 500):
             p_n = table.prime_at(n)
-            assert table.count_composites_upto(p_n) == p_n - n - 1
+            assert bisect_right(table.composites, p_n) == p_n - n - 1
 
     def test_predecessor_is_composite(self, table):
         for n in range(3, 500):
             p_n = table.prime_at(n)
             assert not sympy.isprime(p_n - 1)
-            assert table.count_composites_upto(p_n - 1) > table.count_composites_upto(
-                p_n - 2
+            assert bisect_right(table.composites, p_n - 1) > bisect_right(
+                table.composites, p_n - 2
             )
 
 

@@ -14,7 +14,6 @@ from wythoff import (
     beatty_p,
     beatty_q,
     build_recursive,
-    floor_inv_phi,
 )
 
 # First terms, frozen from an independent hand application of the
@@ -97,14 +96,14 @@ class TestClosedForm:
         assert beatty_p(4) == 6
         assert beatty_p(10) == 16
         assert beatty_q(10) == 26
-        assert floor_inv_phi(100) == 61
+        assert beatty_p(100) - 100 == 61  # floor(100/phi)
 
     def test_first_ten(self):
         assert [beatty_p(n) for n in range(1, 11)] == P_FIRST
         assert [beatty_q(n) for n in range(1, 11)] == Q_FIRST
 
     def test_rejects_nonpositive(self):
-        for fn in (beatty_p, beatty_q, floor_inv_phi):
+        for fn in (beatty_p, beatty_q):
             with pytest.raises(RangeError):
                 fn(0)
 
@@ -119,14 +118,15 @@ class TestClosedForm:
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_inverse_counts_lower_values(self, n):
-        # floor_inv_phi(m + 1) counts lower-sequence values <= m, so
-        # applying it just past the n-th lower value recovers n.
-        assert floor_inv_phi(beatty_p(n) + 1) == n
+        # floor((m + 1)/phi) = beatty_p(m + 1) - (m + 1) counts
+        # lower-sequence values <= m, so at m = p(n) it recovers n.
+        m = beatty_p(n)
+        assert beatty_p(m + 1) - (m + 1) == n
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_complementarity_pointwise(self, m):
         # every integer is hit by exactly one of the two sequences
-        lowers = floor_inv_phi(m + 1)  # lower values <= m
+        lowers = beatty_p(m + 1) - (m + 1)  # lower values <= m
         uppers = m - lowers  # upper values <= m, if the two partition
         is_lower = lowers >= 1 and beatty_p(lowers) == m
         is_upper = uppers >= 1 and beatty_q(uppers) == m
@@ -178,39 +178,6 @@ class TestPairTable:
             table.classify_integer(0)
         with pytest.raises(RangeError):
             table.classify_integer(table.span + 1)
-
-    def test_error_term_zero_small(self, table):
-        for n in range(1, 7):
-            rec = table.error_term(n)
-            assert rec.e == 0
-            assert rec.p_n == rec.floor_phi_n
-
-    def test_error_term_range(self, table):
-        with pytest.raises(RangeError):
-            table.error_term(0)
-        with pytest.raises(RangeError):
-            table.error_term(table.n_max + 1)
-
-    def test_next_p_via_count(self, table):
-        assert table.next_p_via_count(1) == 3
-        assert table.next_p_via_count(2) == 4
-        assert table.next_p_via_count(5) == 9
-        for n in range(1, 400):
-            assert table.next_p_via_count(n) == table.p[n + 1]
-
-    def test_next_p_range(self, table):
-        with pytest.raises(RangeError):
-            table.next_p_via_count(0)
-        with pytest.raises(RangeError):
-            table.next_p_via_count(table.n_max)
-
-    def test_accessors_check_range(self, table):
-        assert table.p_at(10) == 16
-        assert table.q_at(10) == 26
-        with pytest.raises(RangeError):
-            table.p_at(0)
-        with pytest.raises(RangeError):
-            table.q_at(table.n_max + 1)
 
     def test_copy_is_independent(self, table):
         dup = table.copy()

@@ -211,6 +211,14 @@ class TestFaultInjection:
         with pytest.raises(RangeError):
             fault_injected_reports(100, index=101)
 
+    def test_corrupts_a_fresh_table_in_place(self, monkeypatch):
+        # the table is built for this run alone; a copy would hold p and q twice
+        def no_copy(self):
+            raise AssertionError("fault injection copied its fresh table")
+
+        monkeypatch.setattr(wythoff.sequences.PairTable, "copy", no_copy)
+        assert any(not r.passed for r in fault_injected_reports(300))
+
     def test_counterexamples_capped(self):
         corrupt = build_recursive(300).copy()
         for i in range(100, 160):
