@@ -5,8 +5,13 @@ named identity that checks its maximal valid sub-range of [1, n_max] and
 reports counterexamples.  Each table identity is one declared rule: a
 range rule giving the last n it may check, and a per-n rule, and one
 shared scan walks every such range.  Only the partition identity L2,
-which walks values rather than indices, keeps its own loop.  Every
-identity caps its counterexamples through the same helper.
+which walks values rather than indices, keeps its own loop.  Two pairs of
+identities share one pass each, run once per `verify_all` or
+`fault_injected_reports` call: C3 and L5 one merge count of the lower
+values, taken only when p[1..n_max] is non-decreasing (any other table
+runs their bisect rules, which stay the reference), and L-E and E-zero
+one evaluation of the gap p(n) - floor(n*phi) per n.  Every identity
+caps its counterexamples through the same helper.
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
 outside the table becomes a counterexample.
@@ -23,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import le
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -79,10 +85,12 @@ class Identity:
     """Registry entry: stable id, human statement, and the checker.
 
     ``kind`` selects the checker signature: "table" checkers take
-    (PairTable, n_max), "game" checkers take a solver cap, and "prime"
-    checkers take a prime-index bound.  ``conjecture`` marks identities
-    that are empirically supported but unproven, so their failures are
-    reported as conjecture counterexamples rather than engine bugs.
+    (PairTable, n_max, shared), where ``shared`` holds the passes one
+    registry run has made over the table so far, "game" checkers take a
+    solver cap, and "prime" checkers take a prime-index bound.
+    ``conjecture`` marks identities that are empirically supported but
+    unproven, so their failures are reported as conjecture
+    counterexamples rather than engine bugs.
     """
 
     identity_id: str
@@ -128,11 +136,91 @@ def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
 def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable) -> Callable:
     """Checker for a table identity: rule over [1, hi(table, n_max)]."""
 
-    def check(table: PairTable, n_max: int):
+    def check(table: PairTable, n_max: int, shared: dict):
         top = hi(table, n_max)
         return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
 
     return check
+
+
+def _pass_rule(
+    hi: Callable[[PairTable, int], int], rule: Callable, pass_: Callable, slot: int
+) -> Callable:
+    """Checker for an identity that one pass checks together with another.
+
+    ``pass_(p, n_max)`` returns the two identities' capped counterexample
+    lists, or None on a table outside its precondition, where the
+    identity scans its reference rule instead.  The pass runs once per
+    ``shared`` dict, which lives for one registry run and holds only
+    those lists.
+    """
+    reference = _table_rule(hi, rule)
+
+    def check(table: PairTable, n_max: int, shared: dict):
+        if pass_ not in shared:
+            shared[pass_] = pass_(table.p, n_max)
+        if shared[pass_] is None:
+            return reference(table, n_max, shared)
+        return 1, hi(table, n_max), shared[pass_][slot]
+
+    return check
+
+
+def _l5_rule(n: int, p: list[int], q: list[int], m: int):
+    """L5 by binary search for n among the lower values."""
+    if (p[n + 1] - p[n] == 2) == _is_lower_value(p, m, n):
+        return None
+    return (
+        "step 2 iff n in lower sequence",
+        f"step={p[n + 1] - p[n]}, member={_is_lower_value(p, m, n)}",
+    )
+
+
+def _c3_rule(n: int, p: list[int], q: list[int], m: int):
+    """C3 by binary search over p[1..n].
+
+    The lower values up to n are the p(i) <= n, all with i <= n as p(i) >= i.
+    """
+    if (want := bisect_right(p, n, 1, n + 1) + n) == (got := p[n + 1]):
+        return None
+    return want, got
+
+
+def _count_pass(p: list[int], n_max: int):
+    """C3 and L5 over [1, n_max - 1] by one merge count over p[1..n_max].
+
+    Where p[1..n_max] is non-decreasing, c(n) = #{i <= n_max : p[i] <= n}
+    needs one pointer; C3's bisect counts min(c(n), n) of those values,
+    and n is a lower value exactly when c(n) > c(n - 1).  Any other table
+    gets None: there the bisects and a merge count can disagree.
+    """
+    if len(p) <= n_max or not all(map(le, islice(p, 1, n_max), islice(p, 2, n_max + 1))):
+        return None
+    c3: list[Counterexample] = []
+    l5: list[Counterexample] = []
+    values = islice(p, 1, n_max + 1)
+    # c counts the values taken so far, nxt is the next one; n_max is a
+    # sentinel past every n checked
+    c, nxt = 0, next(values, n_max)
+    while nxt <= 0:
+        c, nxt = c + 1, next(values, n_max)
+    a = p[1]
+    for n, b in enumerate(islice(p, 2, n_max + 1), 1):
+        lower = nxt <= n
+        while nxt <= n:
+            c, nxt = c + 1, next(values, n_max)
+        want = (c if c < n else n) + n + 1
+        if b != want or (b - a == 2) != lower:
+            if b != want and len(c3) < MAX_COUNTEREXAMPLES:
+                c3.append(Counterexample(n, want, b))
+            if (b - a == 2) != lower and len(l5) < MAX_COUNTEREXAMPLES:
+                l5.append(Counterexample(
+                    n, "step 2 iff n in lower sequence", f"step={b - a}, member={lower}"
+                ))
+            if len(c3) == MAX_COUNTEREXAMPLES == len(l5):
+                break
+        a = b
+    return c3, l5
 
 
 def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
@@ -142,7 +230,32 @@ def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
     )
 
 
-def _partition(table: PairTable, n_max: int):
+_WIDE_GAP_RULE = _error_rule((-1, 0, 1), "e in {-1, 0, 1}")
+_NONZERO_GAP_RULE = _error_rule((0,), 0)
+
+
+def _gap_pass(p: list[int], n_max: int):
+    """L-E and E-zero over [1, n_max] from one gap p(n) - beatty_p(n) per n.
+
+    Every L-E failure is an E-zero failure too, so the pass is done once
+    L-E's list is full.  A table shorter than n_max + 1 gets None.
+    """
+    if len(p) <= n_max:
+        return None
+    wide: list[Counterexample] = []
+    nonzero: list[Counterexample] = []
+    for n in range(1, n_max + 1):
+        if e := p[n] - beatty_p(n):
+            if len(nonzero) < MAX_COUNTEREXAMPLES:
+                nonzero.append(Counterexample(n, 0, e))
+            if not -1 <= e <= 1:
+                wide.append(Counterexample(n, "e in {-1, 0, 1}", e))
+                if len(wide) == MAX_COUNTEREXAMPLES:
+                    break
+    return wide, nonzero
+
+
+def _partition(table: PairTable, n_max: int, shared: dict):
     """L2: each of 1..p(n_max) lies in exactly one of p[1..n_max], q[1..n_max]."""
     top = table.p[n_max]
 
@@ -227,23 +340,11 @@ _IDENTITIES = (
             None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
         ),
     )),
-    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
-        lambda t, m: m - 1,
-        lambda n, p, q, m: (
-            None if (p[n + 1] - p[n] == 2) == _is_lower_value(p, m, n)
-            else (
-                "step 2 iff n in lower sequence",
-                f"step={p[n + 1] - p[n]}, member={_is_lower_value(p, m, n)}",
-            )
-        ),
+    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _pass_rule(
+        lambda t, m: m - 1, _l5_rule, _count_pass, 1,
     )),
-    # the lower values up to n are the p(i) <= n, all with i <= n as p(i) >= i
-    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _table_rule(
-        lambda t, m: m - 1,
-        lambda n, p, q, m: (
-            None if (want := bisect_right(p, n, 1, n + 1) + n) == (got := p[n + 1])
-            else (want, got)
-        ),
+    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _pass_rule(
+        lambda t, m: m - 1, _c3_rule, _count_pass, 0,
     )),
     Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _table_rule(
         lambda t, m: _index_bound(t.p, m),
@@ -270,11 +371,11 @@ _IDENTITIES = (
             None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
         ),
     )),
-    Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
-        lambda t, m: m, _error_rule((-1, 0, 1), "e in {-1, 0, 1}"),
+    Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _pass_rule(
+        lambda t, m: m, _WIDE_GAP_RULE, _gap_pass, 0,
     )),
-    Identity("E-zero", "recursive equals closed form exactly", "table", _table_rule(
-        lambda t, m: m, _error_rule((0,), 0),
+    Identity("E-zero", "recursive equals closed form exactly", "table", _pass_rule(
+        lambda t, m: m, _NONZERO_GAP_RULE, _gap_pass, 1,
     ), conjecture=True),
     Identity("game-equiv", "retrograde losing set equals the pair set", "game", _game_equivalence),
     Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _prime_gap_claim),
@@ -293,8 +394,16 @@ def verify_identity(
     For "game" identities n_max is the solver's pile cap; for "prime"
     identities it bounds the prime index.  A prebuilt table may be
     passed to share construction work across table identities; it must
-    cover at least n_max entries.
+    cover at least n_max entries.  An identity that shares a pass with
+    another runs that pass itself here.
     """
+    return _verify(identity_id, n_max, table, {})
+
+
+def _verify(
+    identity_id: str, n_max: int, table: PairTable | None, shared: dict
+) -> VerificationReport:
+    """verify_identity, with the passes computed so far in this run."""
     ident = REGISTRY.get(identity_id)
     if ident is None:
         raise UnknownIdentityError(
@@ -310,7 +419,7 @@ def verify_identity(
             raise RangeError(
                 f"supplied table covers {table.n_max} entries, need {n_max}"
             )
-        lo, hi, ces = ident.check(table, n_max)
+        lo, hi, ces = ident.check(table, n_max, shared)
     else:
         lo, hi, ces = ident.check(n_max)
     elapsed = perf_counter() - start
@@ -322,25 +431,30 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run the whole registry; engine errors become failed reports.
 
-    Table identities share one table built at n_max, and a failed build
-    fails each of them with that one error; "game" identities run at
-    game_cap and "prime" identities at prime_n_max.  The result list
-    always covers the registry in order, never aborting early.
+    Table identities share one table built at n_max and the passes over
+    it, and a failed build fails each of them with that one error; the
+    table is released before the "game" identities run at game_cap and
+    the "prime" identities at prime_n_max.  The result list always covers
+    the registry in order, never aborting early.
     """
     if n_max < 1 or game_cap < 1 or prime_n_max < 1:
         raise RangeError("all range arguments must be >= 1")
     table: PairTable | None = None
+    build_error: WythoffError | None = None
     try:
         table = build_recursive(n_max)
     except WythoffError as exc:
         build_error = exc
     bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
+    shared: dict = {}
     reports = []
     for ident in REGISTRY.values():
+        if ident.kind != "table":
+            table = None  # the game and prime engines run without it resident
         try:
-            if ident.kind == "table" and table is None:
+            if ident.kind == "table" and build_error is not None:
                 raise build_error
-            reports.append(verify_identity(ident.identity_id, bounds[ident.kind], table))
+            reports.append(_verify(ident.identity_id, bounds[ident.kind], table, shared))
         except WythoffError as exc:
             failure = Counterexample(0, "no error", f"{type(exc).__name__}: {exc}")
             reports.append(
@@ -364,8 +478,9 @@ def fault_injected_reports(
         raise RangeError(f"index {index} outside [1, {n_max}]")
     corrupt = build_recursive(n_max)
     corrupt.p[index] += delta
+    shared: dict = {}
     return [
-        verify_identity(ident.identity_id, n_max, corrupt)
+        _verify(ident.identity_id, n_max, corrupt, shared)
         for ident in REGISTRY.values()
         if ident.kind == "table"
     ]

@@ -1,6 +1,8 @@
 """The identity registry, report plumbing, and fault-injection self-test."""
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ import wythoff.sequences
 import wythoff.verify
 from wythoff import (
     IDENTITY_IDS,
+    PairTable,
     REGISTRY,
     RangeError,
     UnknownIdentityError,
@@ -180,6 +183,30 @@ class TestVerifyAll:
                     "actual": "CapacityError: n_max 101 exceeds the table bound 100",
                 }]
 
+    def test_table_released_before_game_and_prime(self, monkeypatch):
+        # the pair table must not stay resident next to the solver's table
+        class Watched(PairTable):
+            __slots__ = ("__weakref__",)
+
+        refs = []
+        released = []
+
+        def watched_build(n_max):
+            t = build_recursive(n_max)
+            watched = Watched(t.n_max, t.p, t.q)
+            refs.append(weakref.ref(watched))
+            return watched
+
+        def checking_solve(cap):
+            gc.collect()
+            released.append(refs[0]() is None)
+            return wythoff.game.solve_retrograde(cap)
+
+        monkeypatch.setattr(wythoff.verify, "build_recursive", watched_build)
+        monkeypatch.setattr(wythoff.verify, "solve_retrograde", checking_solve)
+        assert all(r.passed for r in verify_all(500, 30, 20))
+        assert released == [True]
+
     def test_passed_iff_no_counterexamples(self):
         for rep in verify_all(100, 30, 20) + fault_injected_reports(100):
             assert rep.passed == (len(rep.counterexamples) == 0)
@@ -282,6 +309,81 @@ class TestCorruptedTable:
         corrupt.p[1000] = -5
         rep = verify_identity("L2", 1000, corrupt)
         assert (rep.lo, rep.hi, rep.passed) == (1, -5, True)
+
+
+class TestSharedPasses:
+    """C3 + L5 and L-E + E-zero each take one pass over the table."""
+
+    def test_one_closed_form_call_per_n(self, monkeypatch):
+        calls = []
+
+        def counting_beatty_p(n):
+            calls.append(n)
+            return wythoff.sequences.beatty_p(n)
+
+        monkeypatch.setattr(wythoff.verify, "beatty_p", counting_beatty_p)
+        assert all(r.passed for r in verify_all(3000, 30, 20))
+        assert sorted(calls) == list(range(1, 3001))
+
+    @pytest.mark.parametrize("identity_id", ["C3", "L5"])
+    def test_no_bisect_on_a_genuine_table(self, monkeypatch, identity_id):
+        calls = []
+
+        def counting(bisect):
+            return lambda *args: calls.append(args) or bisect(*args)
+
+        for name in ("bisect_left", "bisect_right"):
+            monkeypatch.setattr(wythoff.verify, name, counting(getattr(wythoff.verify, name)))
+        assert verify_identity(identity_id, 1000, PRISTINE_1000).passed
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["left", "right", "shift", "first"]),
+        st.integers(min_value=2, max_value=999),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @example("first", 2, 0)  # p(1) = 0 is counted before n = 1
+    @example("shift", 2, 10**6)  # every value past the last n checked
+    def test_sorted_corruption_matches_the_bisect_rules(self, kind, index, amount):
+        # corruptions that keep p[1..1000] non-decreasing take the merge
+        # count, which must give the bisect rules' counterexamples exactly
+        corrupt = PRISTINE_1000.copy()
+        p = corrupt.p
+        if kind == "left":
+            p[index] = p[index - 1]
+        elif kind == "right":
+            p[index] = p[index + 1]
+        elif kind == "shift":
+            p[index:] = [v + amount for v in p[index:]]
+        else:
+            p[1] = -amount
+        assert all(a <= b for a, b in zip(p[1:], p[2:]))
+        for identity_id, rule in (
+            ("C3", wythoff.verify._c3_rule),
+            ("L5", wythoff.verify._l5_rule),
+        ):
+            reference = wythoff.verify._scan(rule, 999, p, corrupt.q, 1000)
+            got = verify_identity(identity_id, 1000, corrupt).counterexamples
+            assert list(got) == wythoff.verify._capped(reference)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=1000), st.integers(min_value=-3, max_value=3)),
+        max_size=40,
+    ))
+    def test_gap_pass_matches_the_gap_rules(self, corruptions):
+        # any corruption, including enough to fill both capped lists
+        corrupt = PRISTINE_1000.copy()
+        for index, delta in corruptions:
+            corrupt.p[index] += delta
+        for identity_id, rule in (
+            ("L-E", wythoff.verify._WIDE_GAP_RULE),
+            ("E-zero", wythoff.verify._NONZERO_GAP_RULE),
+        ):
+            reference = wythoff.verify._scan(rule, 1000, corrupt.p, corrupt.q, 1000)
+            got = verify_identity(identity_id, 1000, corrupt).counterexamples
+            assert list(got) == wythoff.verify._capped(reference)
 
 
 class TestReportOutput:
