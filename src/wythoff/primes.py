@@ -55,25 +55,21 @@ class PrimeGapTable:
 
     def prime_at(self, n: int) -> int:
         """The n-th prime (1-indexed); RangeError if the sieve is too small."""
-        if n < 1:
-            raise RangeError(f"prime index must be >= 1, got {n}")
-        if n > len(self.primes):
-            raise RangeError(
-                f"sieve limit {self.limit} yields only {len(self.primes)} primes,"
-                f" index {n} unavailable"
-            )
-        return self.primes[n - 1]
+        return self._nth(self.primes, "prime", n)
 
     def composite_at(self, n: int) -> int:
         """The n-th composite (1-indexed); RangeError if the sieve is too small."""
+        return self._nth(self.composites, "composite", n)
+
+    def _nth(self, values: array, name: str, n: int) -> int:
         if n < 1:
-            raise RangeError(f"composite index must be >= 1, got {n}")
-        if n > len(self.composites):
+            raise RangeError(f"{name} index must be >= 1, got {n}")
+        if n > len(values):
             raise RangeError(
-                f"sieve limit {self.limit} yields only {len(self.composites)}"
-                f" composites, index {n} unavailable"
+                f"sieve limit {self.limit} yields only {len(values)} {name}s,"
+                f" index {n} unavailable"
             )
-        return self.composites[n - 1]
+        return values[n - 1]
 
 
 def build_prime_gap(limit: int) -> PrimeGapTable:

@@ -257,6 +257,7 @@ class TestPrimes:
     def test_undersized_sieve_errors(self, runner):
         r = runner.invoke(main, ["primes", "--n-max", "100", "--sieve-limit", "50"])
         assert r.exit_code == 2
+        assert "sieve limit 50 yields only 15 primes, index 16 unavailable" in r.output
 
     def test_json_types(self, runner):
         r = runner.invoke(main, ["primes", "--n-max", "5", "--format", "json"])

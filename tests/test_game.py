@@ -165,9 +165,10 @@ class TestRetrogradeSolver:
         assert [(s.a, s.b) for s in solved.losing_states] == [(0, 0)]
 
     def test_peak_memory_near_held(self):
-        # the state arrays are allocated once, at their final size; a
-        # table-sized temporary would lift the peak well above the result,
-        # and a third per-state array would lift what is held
+        # the solver keeps only its O(cap) line arrays and the losing states,
+        # and allocates nothing per state along the way: 512 bytes per pile
+        # size comes to 1 MiB at cap 2000, where a table of 9 bytes per
+        # state would hold 17.4 MiB.  Cap 500 keeps the traced sweep short.
         cap = 500
         tracemalloc.start()
         try:
@@ -177,7 +178,17 @@ class TestRetrogradeSolver:
             tracemalloc.stop()
         assert solved.cap == cap
         assert peak <= 1.15 * held
-        assert held < 10 * (cap + 1) * (cap + 2) // 2
+        assert peak <= 512 * (cap + 1)
+
+    def test_classification_independent_of_cap(self, solved):
+        # the line arrays also hold losing states above a queried state;
+        # only one below it may make the state winning or name its witness
+        for cap in range(41):
+            small = solve_retrograde(cap)
+            for a in range(cap + 1):
+                for b in range(a, cap + 1):
+                    state = GameState(a, b)
+                    assert small.classify(state) == solved.classify(state), (cap, state)
 
 
 class TestClosedForm:

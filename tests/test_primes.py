@@ -56,11 +56,18 @@ class TestBuildPrimeGap:
         assert t.prime_at(1) == 2
         assert t.prime_at(10) == 29
         assert t.composite_at(1) == 4
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="^prime index must be >= 1, got 0$"):
             t.prime_at(0)
-        with pytest.raises(RangeError):
+        with pytest.raises(
+            RangeError, match="^sieve limit 30 yields only 10 primes, index 11 unavailable$"
+        ):
             t.prime_at(11)
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="^composite index must be >= 1, got 0$"):
+            t.composite_at(0)
+        with pytest.raises(
+            RangeError,
+            match="^sieve limit 30 yields only 19 composites, index 20 unavailable$",
+        ):
             t.composite_at(len(t.composites) + 1)
 
 
