@@ -15,9 +15,9 @@ Three independent engines answer "who wins here?":
 * :func:`classify_closed_form` decides a single state in O(1) integer
   operations: the losing states are exactly the pairs
   ``(floor(d*phi), floor(d*phi^2))`` over d >= 0.
-* :func:`best_move` produces a winning move in O(1) by aiming at the
-  unique losing state reachable along each move family, again using
-  only closed-form arithmetic.
+* :func:`best_move` produces a winning move in O(1) by trying two move
+  families, taking from both piles or from the larger one, each aimed
+  at its unique losing state by closed-form arithmetic alone.
 """
 
 from __future__ import annotations
@@ -246,14 +246,16 @@ def classify_closed_form(state: GameState) -> Classification:
 def best_move(state: GameState) -> Move:
     """A winning move in O(1), or NoWinningMoveError from losing states.
 
-    Along each move family at most one reachable state is losing: the
-    same-difference pair below (take-from-both), the pair completing the
-    larger pile (take-from-A), and the pair completing the smaller pile
-    (take-from-B).  Candidates are tried in that order, mirroring the
-    retrograde solver's witness search.  The take-from-both target is
-    the losing state of difference d by construction, so one kernel
-    call both classifies the state and aims that move; the two partner
-    candidates are re-verified with the closed-form test.
+    Two move families are tried.  Take-from-both aims at the losing
+    state of difference d, so one kernel call both classifies the state
+    and aims the move; take-from-B aims at the pair completing the
+    smaller pile and is re-verified with the closed-form test.
+
+    Take-from-A never wins first: were (x, b) losing with x < a, then
+    x >= 1 and (x, b) = (p(k), q(k)) with k = b - x > d, so the losing
+    state of difference d has the smaller pile p(d) < p(k) = x < a (or
+    0 < a if d = 0), which take-from-both reaches.  The rule-only
+    solver still searches all three lines.
     """
     a, b = state.a, state.b
     d = state.diff
@@ -263,10 +265,6 @@ def best_move(state: GameState) -> Move:
         raise NoWinningMoveError(f"({a}, {b}) is losing; every move loses")
     if target_a < a:
         return Move(MoveKind.TAKE_BOTH, a - target_a)
-
-    other = _pair_partner(b)
-    if other < a and is_losing(GameState(other, b)):
-        return Move(MoveKind.TAKE_A, a - other)
 
     other = _pair_partner(a)
     if other < b and is_losing(GameState.of(a, other)):

@@ -66,9 +66,10 @@ class PairTable:
     """Materialized prefix of the coupled sequences.
 
     ``p`` and ``q`` are 1-indexed lists (slot 0 is an unused sentinel)
-    holding the first ``n_max`` terms of each sequence.  Every integer
-    in [1, span], where ``span = q(n_max)``, belongs to exactly one
-    sequence.  Lower-sequence indices of integers in the span may exceed
+    holding the first ``n_max`` terms of each sequence; lists of any
+    other length raise :class:`RangeError`.  Every integer in [1, span],
+    where ``span = q(n_max)``, belongs to exactly one sequence.
+    Lower-sequence indices of integers in the span may exceed
     ``n_max``: the lower sequence runs ahead of the part of the prefix
     whose upper partner is still in range.
 
@@ -79,6 +80,11 @@ class PairTable:
     __slots__ = ("n_max", "p", "q", "span")
 
     def __init__(self, n_max: int, p: list[int], q: list[int]):
+        if len(p) != n_max + 1 or len(q) != n_max + 1:
+            raise RangeError(
+                f"p and q must hold n_max + 1 = {n_max + 1} entries, "
+                f"got {len(p)} and {len(q)}"
+            )
         self.n_max = n_max
         self.p = p
         self.q = q

@@ -26,6 +26,7 @@ carry the human-readable statement.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import le
@@ -260,7 +261,10 @@ def _partition(table: PairTable, n_max: int, shared: dict):
     top = table.p[n_max]
 
     def violations():
-        marks = bytearray(max(top, 0) + 1)
+        # a genuine top is below 2 * n_max; past 3 * n_max + 2 it is corrupt
+        # and may be huge, so a dict keeps the marks: it only ever holds the
+        # 2 * n_max table values and the MAX_COUNTEREXAMPLES gaps found
+        marks = bytearray(max(top, 0) + 1) if top <= 3 * n_max + 2 else defaultdict(int)
         for value in chain(islice(table.p, 1, n_max + 1), islice(table.q, 1, n_max + 1)):
             if 0 < value <= top:
                 if marks[value]:

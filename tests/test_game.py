@@ -29,6 +29,8 @@ from wythoff import (
 )
 from wythoff.game import _pair_partner
 
+import zeckendorf
+
 
 def naive_solve(cap):
     """Reference solver: direct successor enumeration, no shared code.
@@ -249,8 +251,9 @@ class TestBestMove:
         assert best_move(GameState(2, 2)) == Move(MoveKind.TAKE_BOTH, 2)
         assert best_move(GameState(4, 5)) == Move(MoveKind.TAKE_BOTH, 3)
 
-    def test_take_both_makes_one_kernel_call(self, monkeypatch):
-        # the take-from-both target decides the state and aims the move
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Arguments of every beatty_p call the game engines make."""
         calls = []
         kernel = wythoff.game.beatty_p
 
@@ -259,8 +262,18 @@ class TestBestMove:
             return kernel(n)
 
         monkeypatch.setattr(wythoff.game, "beatty_p", counted)
+        return calls
+
+    def test_take_both_makes_one_kernel_call(self, kernel_calls):
+        # the take-from-both target decides the state and aims the move
         assert best_move(GameState(4, 5)) == Move(MoveKind.TAKE_BOTH, 3)
-        assert calls == [1]
+        assert kernel_calls == [1]
+
+    def test_take_b_makes_four_kernel_calls(self, kernel_calls):
+        # one for the diagonal, then the smaller pile's partner and its
+        # re-check; the larger pile's partner is never computed
+        assert best_move(GameState(2, 5)) == Move(MoveKind.TAKE_B, 4)
+        assert kernel_calls == [3, 3, 1, 1]
 
     def test_losing_state_raises(self):
         for a, b in [(0, 0), (1, 2), (3, 5)]:
@@ -268,9 +281,9 @@ class TestBestMove:
                 best_move(GameState(a, b))
 
     def test_matches_solver_witness(self):
-        solved = solve_retrograde(70)
-        for a in range(71):
-            for b in range(a, 71):
+        solved = solve_retrograde(300)
+        for a in range(301):
+            for b in range(a, 301):
                 c = solved.classify(GameState(a, b))
                 if c.outcome is Outcome.WINNING:
                     assert best_move(GameState(a, b)) == c.witness, (a, b)
@@ -290,3 +303,34 @@ class TestBestMove:
         state = GameState.of(2**40, 2**39)
         move = best_move(state)
         assert is_losing(apply_move(state, move))
+
+
+class TestZeckendorfOracle:
+    """The engines against Fibonacci numeration, which shares no kernel."""
+
+    def test_oracle_matches_solver(self):
+        solved = solve_retrograde(300)
+        losing = {(s.a, s.b) for s in solved.losing_states}
+        for a in range(301):
+            for b in range(a, 301):
+                assert zeckendorf.is_losing(a, b) == ((a, b) in losing), (a, b)
+
+    _BIG = st.integers(min_value=10**100, max_value=10**1000)
+
+    @given(_BIG, st.one_of(_BIG, st.integers(-3, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_engines_at_scale(self, v, other):
+        # a small ``other`` puts the second pile beside v's partner, so
+        # losing states and take-from-B wins are drawn as often as random
+        # states, which take-from-both nearly always wins
+        w = zeckendorf.partner(v)
+        assert _pair_partner(v) == w
+        state = GameState.of(v, other if abs(other) > 3 else w + other)
+        losing = zeckendorf.is_losing(state.a, state.b)
+        assert is_losing(state) == losing
+        if losing:
+            with pytest.raises(NoWinningMoveError):
+                best_move(state)
+        else:
+            target = apply_move(state, best_move(state))
+            assert zeckendorf.is_losing(target.a, target.b)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import wythoff.sequences
 from wythoff import (
     CapacityError,
+    PairTable,
     RangeError,
     SeqKind,
     beatty_p,
@@ -185,6 +186,14 @@ class TestPairTable:
         assert table.p[3] == 4
         assert dup.p[3] == 11
         assert dup.q == table.q
+
+    # one entry short or one too many, in either list
+    @pytest.mark.parametrize("p_len, q_len", [(500, 501), (502, 501), (501, 500), (501, 502)])
+    def test_lists_must_hold_n_max_plus_one_entries(self, table, p_len, q_len):
+        p = (table.p + [0])[:p_len]
+        q = (table.q + [0])[:q_len]
+        with pytest.raises(RangeError, match=r"n_max \+ 1 = 501 entries"):
+            PairTable(500, p, q)
 
 
 @settings(max_examples=30, deadline=None)

@@ -272,6 +272,7 @@ class TestCorruptedTable:
     @example("p", 300, 5000)
     @example("p", 40, -(10**6))  # a value below -len(marks) in L2
     @example("p", 1000, -2000)  # negative p(n_max), the end of L2's range
+    @example("p", 1000, 10**20)  # a huge p(n_max) must not size L2's marks
     @example("p", 1, -2)  # a small negative value must not wrap in L2
     @example("q", 1, -(10**6))
     @example("q", 600, 10**6)
@@ -303,6 +304,15 @@ class TestCorruptedTable:
         l2 = {r.identity_id: r for r in reports}["L2"]
         assert not l2.passed
         assert all(ce.actual == "neither" for ce in l2.counterexamples)
+
+    def test_huge_top_still_finds_a_duplicate(self):
+        # past 3 * n_max + 2, L2 keeps its marks in a dict, not a bytearray
+        corrupt = PRISTINE_1000.copy()
+        corrupt.p[1000] = corrupt.q[1000] = 10**20
+        rep = verify_identity("L2", 1000, corrupt)
+        assert (rep.hi, rep.counterexamples[0].n, rep.counterexamples[0].actual) == (
+            10**20, 10**20, "both"
+        )
 
     def test_negative_top_is_an_empty_partition_range(self):
         corrupt = PRISTINE_1000.copy()
