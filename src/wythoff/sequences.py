@@ -2,11 +2,13 @@
 
 Two independent constructions of the same pair of sequences live here.
 
-``build_recursive`` materializes the lower sequence p = 1, 3, 4, 6, 8, ...
-and the upper sequence q = 2, 5, 7, 10, 13, ... by the minimal-excludant
-rule: p(1) = 1, q(n) = p(n) + n, and p(n+1) is the smallest positive
-integer not yet used by either sequence.  Together the two sequences
-partition the positive integers.
+``lower_values`` runs the minimal-excludant recursion as a left-to-right
+cursor, yielding the lower sequence p = 1, 3, 4, 6, 8, ... one term at a
+time: p(1) = 1, q(n) = p(n) + n, and p(n+1) is the smallest positive
+integer not yet used by either sequence.  ``build_recursive`` collects
+it, with the upper sequence q = 2, 5, 7, 10, 13, ..., into a
+``PairTable``.  Together the two sequences partition the positive
+integers.
 
 ``beatty_p`` / ``beatty_q`` compute the same values in closed form as
 floor(n*phi) and floor(n*phi^2), where phi is the golden ratio, using
@@ -21,11 +23,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from operator import add
+from typing import Iterator
 
 from .errors import CapacityError, RangeError
 
-# Largest n_max build_recursive accepts.  A build peaks at ~85 bytes per
-# pair (94.9 MiB RSS at 10^6), so the ceiling is ~0.9 GB.
+# Largest n_max lower_values and build_recursive accept.  A table build
+# peaks at ~85 bytes per pair (94.9 MiB RSS at 10^6), so ~0.9 GB at the
+# ceiling; streaming the recursion holds only its ~3 bytes per pair of
+# occupancy marks (~30 MB at the ceiling).
 _TABLE_CAP = 10_000_000
 
 
@@ -111,39 +117,52 @@ class PairTable:
         return Membership(SeqKind.P, m - i)
 
 
-def build_recursive(n_max: int) -> PairTable:
-    """Build the first n_max pairs by the minimal-excludant recursion.
+def lower_values(n_max: int) -> Iterator[int]:
+    """Yield p(1), ..., p(n_max) by the minimal-excludant recursion.
 
-    A rolling cursor tracks the smallest integer not yet assigned to
-    either sequence, giving O(q(n_max)) construction time.
-
-    The occupancy structure is preallocated at 3*n_max + 2 cells, which
-    the step bound p(n+1) - p(n) <= 2 guarantees is enough; exceeding it
-    raises :class:`CapacityError`, and so does an n_max above the
-    table ceiling, before anything is allocated.
+    The only state is a cursor at the smallest integer not yet assigned
+    to either sequence and one occupancy mark per integer, preallocated
+    at 3*n_max + 2 cells (~3 bytes per pair), which the step bound
+    p(n+1) - p(n) <= 2 guarantees is enough.  An n_max below 1 or above
+    the table ceiling raises on the call, before anything is allocated;
+    exceeding the cells or marking an integer twice, which a correct
+    recursion never does, raises :class:`CapacityError` while iterating.
+    q(n) is p(n) + n, so a consumer needs nothing else.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     if n_max > _TABLE_CAP:
         raise CapacityError(f"n_max {n_max} exceeds the table bound {_TABLE_CAP}")
-    cap = 3 * n_max + 2
-    used = bytearray(cap + 2)
-    p = [0] * (n_max + 1)
-    q = [0] * (n_max + 1)
 
-    cursor = 1
-    for n in range(1, n_max + 1):
-        p[n] = cursor
-        qn = cursor + n
-        if qn > cap:
-            raise CapacityError(f"q({n}) = {qn} exceeds the index bound {cap}")
-        if used[qn]:
-            raise CapacityError(f"occupancy collision at {qn}; table corrupt")
-        q[n] = qn
-        used[cursor] = 1
-        used[qn] = 1
-        cursor += 1
-        while used[cursor]:
+    def mex() -> Iterator[int]:
+        cap = 3 * n_max + 2
+        used = bytearray(cap + 2)
+        cursor = 1
+        for n in range(1, n_max + 1):
+            qn = cursor + n
+            if qn > cap:
+                raise CapacityError(f"q({n}) = {qn} exceeds the index bound {cap}")
+            if used[qn]:
+                raise CapacityError(f"occupancy collision at {qn}; table corrupt")
+            used[cursor] = 1
+            used[qn] = 1
+            yield cursor
             cursor += 1
+            while used[cursor]:
+                cursor += 1
 
+    return mex()
+
+
+def build_recursive(n_max: int) -> PairTable:
+    """Build the first n_max pairs by the minimal-excludant recursion.
+
+    Collects :func:`lower_values` into p and sets q(n) = p(n) + n, the
+    recursion's own definition, in O(q(n_max)) time.  Its errors pass
+    through unchanged: an n_max below 1 or above the table ceiling raises
+    before anything is allocated.
+    """
+    p = [0]
+    p.extend(lower_values(n_max))
+    q = list(map(add, p, range(n_max + 1)))
     return PairTable(n_max, p, q)

@@ -337,6 +337,15 @@ class TestStreaming:
         peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*command, "--n-max", str(n)]))
         assert peak <= 1.25 * table_peak
 
+    @pytest.mark.parametrize(
+        "command", [["gen", "--method", "recursive"], ["gen", "--method", "both"], ["error-term"]]
+    )
+    def test_recursion_streams_without_a_table(self, runner, tmp_path, command):
+        # only the recursion's occupancy marks stay resident, ~3 bytes per pair
+        self.write_csv(runner, tmp_path, [*command, "--n-max", "10"])
+        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*command, "--n-max", "50000"]))
+        assert peak < 2**20
+
 
 class TestJsonLayout:
     """The streamed json has exactly json.dump's indent=2 layout."""

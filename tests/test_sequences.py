@@ -16,6 +16,7 @@ from wythoff import (
     beatty_q,
     build_recursive,
 )
+from wythoff.sequences import lower_values
 
 # First terms, frozen from an independent hand application of the
 # smallest-unused rule: p(1)=1 forces q(1)=2; the smallest unused is
@@ -90,6 +91,21 @@ class TestBuildRecursive:
             tracemalloc.stop()
         assert t.n_max == 50_000
         assert peak <= 1.15 * held
+
+
+class TestLowerValues:
+    def test_matches_build_recursive(self):
+        for n in range(1, 301):
+            assert list(lower_values(n)) == build_recursive(n).p[1:]
+
+    def test_errors_raise_on_the_call(self, monkeypatch):
+        # raised by the call itself, before the first next()
+        with pytest.raises(RangeError):
+            lower_values(0)
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        assert len(list(lower_values(100))) == 100
+        with pytest.raises(CapacityError, match="table bound 100"):
+            lower_values(101)
 
 
 class TestClosedForm:
