@@ -123,11 +123,14 @@ def lower_values(n_max: int) -> Iterator[int]:
     The only state is a cursor at the smallest integer not yet assigned
     to either sequence and one occupancy mark per integer, preallocated
     at 3*n_max + 2 cells (~3 bytes per pair), which the step bound
-    p(n+1) - p(n) <= 2 guarantees is enough.  An n_max below 1 or above
-    the table ceiling raises on the call, before anything is allocated;
-    exceeding the cells or marking an integer twice, which a correct
-    recursion never does, raises :class:`CapacityError` while iterating.
-    q(n) is p(n) + n, so a consumer needs nothing else.
+    p(n+1) - p(n) <= 2 guarantees is enough.  Only upper values are
+    marked: the cursor only moves up and every later q(n) = cursor + n
+    lies above it, so nothing would read a mark on a lower value.  An
+    n_max below 1 or above the table ceiling raises on the call, before
+    anything is allocated; exceeding the cells or marking an integer
+    twice, which a correct recursion never does, raises
+    :class:`CapacityError` while iterating.  q(n) is p(n) + n, so a
+    consumer needs nothing else.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
@@ -144,7 +147,6 @@ def lower_values(n_max: int) -> Iterator[int]:
                 raise CapacityError(f"q({n}) = {qn} exceeds the index bound {cap}")
             if used[qn]:
                 raise CapacityError(f"occupancy collision at {qn}; table corrupt")
-            used[cursor] = 1
             used[qn] = 1
             yield cursor
             cursor += 1

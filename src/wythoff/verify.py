@@ -468,23 +468,20 @@ def verify_all(
 
 
 def fault_injected_reports(
-    n_max: int = 1000, index: int = 17, delta: int = 1, sequence: str = "p"
+    n_max: int = 1000, index: int = 17, delta: int = 1
 ) -> list[VerificationReport]:
-    """Re-run the table identities on a fresh table with one entry shifted by delta.
+    """Re-run the table identities on a fresh table with p(index) shifted by delta.
 
-    The entry is p(index), or q(index) with ``sequence="q"``.  Self-test
-    of the suite's sensitivity: a genuine table passes everything, so a
-    single corrupted entry must flip at least one report to failed,
-    otherwise the checkers have gone vacuous.
+    Self-test of the suite's sensitivity: a genuine table passes
+    everything, so a single corrupted entry must flip at least one
+    report to failed, otherwise the checkers have gone vacuous.
     """
     if delta == 0:
         raise RangeError("delta must be nonzero to inject a fault")
     if not 1 <= index <= n_max:
         raise RangeError(f"index {index} outside [1, {n_max}]")
-    if sequence not in ("p", "q"):
-        raise RangeError(f"sequence must be 'p' or 'q', got {sequence!r}")
     corrupt = build_recursive(n_max)
-    getattr(corrupt, sequence)[index] += delta
+    corrupt.p[index] += delta
     shared: dict = {}
     return [
         _verify(ident.identity_id, n_max, corrupt, shared)

@@ -230,22 +230,6 @@ class TestFaultInjection:
         reports = fault_injected_reports(500, index=40, delta=-1)
         assert any(not r.passed for r in reports)
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(
-        st.integers(min_value=1, max_value=1000),
-        st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
-    )
-    @example(1, -2)
-    @example(17, 1)
-    @example(1000, 10**6)
-    def test_q_corruption_detected(self, index, delta):
-        reports = fault_injected_reports(1000, index, delta, sequence="q")
-        assert any(not r.passed for r in reports)
-
-    def test_unknown_sequence_rejected(self):
-        with pytest.raises(RangeError):
-            fault_injected_reports(100, sequence="r")
-
     def test_zero_delta_rejected(self):
         with pytest.raises(RangeError):
             fault_injected_reports(100, index=5, delta=0)
