@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import ceil, isqrt, log
 
 from .errors import CapacityError, RangeError
@@ -83,8 +84,10 @@ def build_prime_gap(limit: int) -> PrimeGapTable:
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    primes = array("q", (i for i in range(2, limit + 1) if sieve[i]))
-    composites = array("q", (i for i in range(4, limit + 1) if not sieve[i]))
+    primes = array("q", compress(range(limit + 1), sieve))
+    is_composite = sieve.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    is_composite[0] = is_composite[1] = 0
+    composites = array("q", compress(range(limit + 1), is_composite))
     return PrimeGapTable(limit, primes, composites)
 
 

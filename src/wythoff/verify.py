@@ -12,6 +12,19 @@ values, taken only when p[1..n_max] is non-decreasing (any other table
 runs their bisect rules, which stay the reference), and L-E and E-zero
 one evaluation of the gap p(n) - floor(n*phi) per n.  Every identity
 caps its counterexamples through the same helper.
+
+Fast proof, reference witness: the step identities, the compositions
+and prime-claim also carry a proof, one C-level pass of ``map`` and
+``islice`` over the arrays that is true only when the identity holds on
+its whole range.  A true proof is the report.  Otherwise the per-n
+reference rule runs and names the counterexamples, so every
+counterexample still comes from the reference rule.  Two guards keep a
+proof from passing where its rule fails: the arrays must reach the last
+entry the range reads, as ``islice`` quietly stops at a list's end, and
+every entry used as an index must be at least 1, as a list lookup wraps
+negative indices.  A guard that fails, or a lookup past the end, raises
+IndexError or ValueError, and that counts as no proof.
+
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
 outside the table becomes a counterexample.
@@ -28,8 +41,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import le
+from itertools import chain, count, islice
+from operator import le, lt, sub
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -88,7 +101,9 @@ class Identity:
     ``kind`` selects the checker signature: "table" checkers take
     (PairTable, n_max, shared), where ``shared`` holds the passes one
     registry run has made over the table so far, "game" checkers take a
-    solver cap, and "prime" checkers take a prime-index bound.
+    solver cap, and "prime" checkers take a prime-index bound.  A
+    checker may try a proof first and run its reference rule only when
+    the proof fails; either way it returns the same report.
     ``conjecture`` marks identities that are empirically supported but
     unproven, so their failures are reported as conjecture
     counterexamples rather than engine bugs.
@@ -134,11 +149,61 @@ def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
             yield Counterexample(n, *failure)
 
 
-def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable) -> Callable:
-    """Checker for a table identity: rule over [1, hi(table, n_max)]."""
+def _proved(proof: Callable, p, q, top: int) -> bool:
+    """Whether proof(p, q, top) shows that an identity holds on its whole range.
+
+    A guard that sees a lookup the reference rule would fail on raises
+    IndexError or ValueError, and that counts as no proof.
+    """
+    try:
+        return proof(p, q, top)
+    except (IndexError, ValueError):
+        return False
+
+
+def _entries(values: list[int], top: int, offset: int = 0):
+    """values[n + offset] for n in [1, top]; IndexError if the list ends before.
+
+    islice would quietly stop at the end of a truncated list, where the
+    reference rule fails with _OUTSIDE.
+    """
+    if len(values) <= top + offset:
+        raise IndexError(f"no entry {top + offset}")
+    return islice(values, 1 + offset, top + 1 + offset)
+
+
+def _steps(values: list[int], top: int, gap: int = 1):
+    """values[n + gap] - values[n] for n in [1, top]."""
+    return map(sub, _entries(values, top, gap), _entries(values, top))
+
+
+def _composed(outer: list[int], inner: list[int], top: int):
+    """outer[inner[n]] for n in [1, top]; ValueError if an inner[n] is below 1.
+
+    The reference rules fail there with _OUTSIDE, where a list lookup
+    would wrap around from its end.  A lookup past the end raises
+    IndexError.
+    """
+    if min(_entries(inner, top), default=1) < 1:
+        raise ValueError("an index below 1")
+    return map(outer.__getitem__, _entries(inner, top))
+
+
+def _table_rule(
+    hi: Callable[[PairTable, int], int], rule: Callable, proof: Callable | None = None
+) -> Callable:
+    """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
+
+    A true ``proof(p, q, top)`` is the report, with no counterexamples.
+    Otherwise the reference rule runs on every n and names them.  Proofs
+    read the arrays through the two guards, ``_entries`` (the list
+    reaches the range's end) and ``_composed`` (no index below 1).
+    """
 
     def check(table: PairTable, n_max: int, shared: dict):
         top = hi(table, n_max)
+        if proof is not None and _proved(proof, table.p, table.q, top):
+            return 1, top, []
         return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
 
     return check
@@ -298,10 +363,28 @@ def _game_equivalence(cap: int):
     return 0, cap, _capped(ces)
 
 
+def _prime_proof(primes, composites, top: int) -> bool:
+    """composite(prime(n) - n - 1) == prime(n) - 1 for n in [3, top].
+
+    The arrays are 0-indexed, so prime(n) is primes[n - 1] and the
+    composite sits at composites[primes[n - 1] - n - 2].  An index past
+    the end raises IndexError; a negative one would wrap, so it is
+    refused first.
+    """
+    if len(primes) < top:
+        raise IndexError(f"no prime {top}")
+    if min(map(sub, islice(primes, 2, top), count(5)), default=0) < 0:
+        raise ValueError("a composite index below 1")
+    found = map(composites.__getitem__, map(sub, islice(primes, 2, top), count(5)))
+    return set(map(sub, found, islice(primes, 2, top))) <= {-1}
+
+
 def _prime_gap_claim(prime_n_max: int):
     if prime_n_max < 3:
         return 3, prime_n_max, []
     table = build_prime_gap(sieve_limit_for(prime_n_max))
+    if _proved(_prime_proof, table.primes, table.composites, prime_n_max):
+        return 3, prime_n_max, []
     evidence = (check_prime_claim(table, n) for n in range(3, prime_n_max + 1))
     ces = (
         Counterexample(ev.n, ev.p_n - 1, ev.q_at_index)
@@ -317,19 +400,23 @@ _IDENTITIES = (
     Identity("L1", "lower sequence strictly increasing", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if p[n] < p[n + 1] else (f"> {p[n]}", p[n + 1]),
+        lambda p, q, top: all(map(lt, _entries(p, top), _entries(p, top, 1))),
     )),
     Identity("C2", "no two adjacent integers in the upper sequence", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (gap := q[n + 1] - q[n]) >= 2 else ("gap >= 2", gap),
+        lambda p, q, top: min(_steps(q, top), default=2) >= 2,
     )),
     Identity("L2", "the two sequences partition the positive integers", "table", _partition),
     Identity("L3", "lower-sequence steps are 1 or 2", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := p[n + 1] - p[n]) in (1, 2) else ("step in {1, 2}", s),
+        lambda p, q, top: set(_steps(p, top)) <= {1, 2},
     )),
     Identity("C-dq", "upper-sequence steps are 2 or 3", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := q[n + 1] - q[n]) in (2, 3) else ("step in {2, 3}", s),
+        lambda p, q, top: set(_steps(q, top)) <= {2, 3},
     )),
     Identity("C-no3p", "no three consecutive integers in the lower sequence", "table", _table_rule(
         lambda t, m: m - 2,
@@ -337,12 +424,15 @@ _IDENTITIES = (
             None if p[n + 1] != p[n] + 1 or p[n + 2] != p[n] + 2
             else ("no three consecutive", f"{p[n]}, {p[n] + 1}, {p[n] + 2}")
         ),
+        # the rule can only fail where p(n + 2) = p(n) + 2
+        lambda p, q, top: 2 not in _steps(p, top, 2),
     )),
     Identity("L4", "q(n) = p(p(n)) + 1", "table", _table_rule(
         lambda t, m: _index_bound(t.p, m),
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
         ),
+        lambda p, q, top: set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1},
     )),
     Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _pass_rule(
         lambda t, m: m - 1, _l5_rule, _count_pass, 1,
@@ -355,12 +445,18 @@ _IDENTITIES = (
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[n] + q[n] - 1) == (got := q[p[n]]) else (want, got)
         ),
+        lambda p, q, top: set(map(
+            sub, map(sub, _composed(q, p, top), _entries(p, top)), _entries(q, top)
+        )) <= {-1},
     )),
     Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
             None if (want := p[n] + q[n]) == (got := p[q[n]]) else (want, got)
         ),
+        lambda p, q, top: set(map(
+            sub, map(sub, _composed(p, q, top), _entries(p, top)), _entries(q, top)
+        )) <= {0},
     )),
     Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
@@ -368,12 +464,21 @@ _IDENTITIES = (
             None if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (p[q[n]], q[q[n]]))
             else (str(want), str(got))
         ),
+        # given p(q(n)) = p(n) + q(n), q(q(n)) = p(n) + 2q(n) reads q(q(n)) - p(q(n)) = q(n);
+        # the first set's guard covers the second's lookups
+        lambda p, q, top: set(map(
+            sub, map(sub, _composed(p, q, top), _entries(p, top)), _entries(q, top)
+        )) <= {0} and set(map(
+            sub, map(sub, map(q.__getitem__, _entries(q, top)), map(p.__getitem__, _entries(q, top))),
+            _entries(q, top),
+        )) <= {0},
     )),
     Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 or q[n] < 1 else (
             None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
         ),
+        lambda p, q, top: set(map(sub, _composed(p, q, top), _composed(q, p, top))) <= {1},
     )),
     Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _pass_rule(
         lambda t, m: m, _WIDE_GAP_RULE, _gap_pass, 0,

@@ -8,6 +8,7 @@ them.  Timing limits are asserted where a guarantee includes one.
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from time import perf_counter
 
+import zeckendorf
 from wythoff import (
     GameState,
     Outcome,
@@ -139,6 +140,9 @@ def test_7_closed_form_kernel_against_independent_oracles():
             ok = False
         # high-precision decimal oracle
         if int((phi * n).to_integral_value(rounding=ROUND_FLOOR)) != m:
+            ok = False
+        # Zeckendorf oracle: (m, m + n) is the n-th losing pair
+        if not zeckendorf.is_losing(m, m + n):
             ok = False
     _line("7 kernel-vs-independent-oracles", ok, detail=f"{len(ns)} inputs")
     assert ok

@@ -38,6 +38,14 @@ class TestBuildPrimeGap:
         assert marked == set(range(1, 10_001))
         assert not (set(t.primes) & set(t.composites))
 
+    def test_every_small_limit_against_sympy(self):
+        for limit in range(4, 301):
+            t = build_prime_gap(limit)
+            assert list(t.primes) == list(sympy.primerange(2, limit + 1)), limit
+            assert list(t.composites) == [
+                i for i in range(4, limit + 1) if not sympy.isprime(i)
+            ], limit
+
     def test_sorted(self):
         t = build_prime_gap(5_000)
         assert list(t.primes) == sorted(t.primes)

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wythoff.game
+import wythoff.primes
 import wythoff.sequences
 import wythoff.verify
+from test_snapshot import FLIP_SETS
 from wythoff import (
     IDENTITY_IDS,
     PairTable,
@@ -394,6 +396,112 @@ class TestSharedPasses:
             reference = wythoff.verify._scan(rule, 1000, corrupt.p, corrupt.q, 1000)
             got = verify_identity(identity_id, 1000, corrupt).counterexamples
             assert list(got) == wythoff.verify._capped(reference)
+
+
+PROVED_IDS = (
+    "L1", "C2", "L3", "C-dq", "C-no3p", "L4", "C-qp", "L-pq", "C-pair", "C-final", "prime-claim",
+)
+
+# one corrupted entry: (array, index, delta), with small, large and huge
+# deltas; a delta of minus the list length makes a lookup through that
+# entry wrap around onto the genuine value
+CORRUPTION = st.tuples(
+    st.sampled_from(["p", "q"]),
+    st.integers(min_value=0, max_value=1000),
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.sampled_from([10**20, -(10**20), -1001]),
+    ).filter(bool),
+)
+
+
+class TestProofs:
+    """A proof settles an identity only where its reference rule finds nothing."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(CORRUPTION, min_size=1, max_size=6),
+        st.one_of(st.none(), st.tuples(st.sampled_from(["p", "q"]), st.integers(0, 1000))),
+    )
+    @example([("p", 2, 1)], None)  # p(1..3) = 1, 4, 4: steps 3 and 0
+    @example([("p", 3, -1)], None)  # p(2..4) = 3, 3, 6: the C-no3p gap of 2 is split
+    @example([("p", 5, -1001)], None)  # p(p(5)) read through a wrapped index
+    @example([("q", 5, -1001)], None)  # p(q(5)) and q(q(5)) likewise
+    @example([("q", 9, -(10**20))], None)
+    @example([("p", 617, 10**20)], None)  # a lookup past the end of the table
+    @example([("p", 1, 1)], ("q", 999))  # q truncated inside C2's range
+    @example([("q", 1, 1)], ("p", 1000))  # p(n_max) cut off
+    def test_a_true_proof_leaves_the_reference_nothing(self, corruptions, truncate):
+        corrupt = PRISTINE_1000.copy()
+        for array, index, delta in corruptions:
+            getattr(corrupt, array)[index] += delta
+        if truncate is not None:
+            array, length = truncate
+            del getattr(corrupt, array)[length:]
+        proved = wythoff.verify._proved
+        for identity_id in PROVED_IDS[:-1]:
+            check = REGISTRY[identity_id].check
+            verdicts = []
+
+            def recording(proof, p, q, top):
+                verdicts.append(proved(proof, p, q, top))
+                return verdicts[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wythoff.verify, "_proved", recording)
+                try:
+                    lo, hi, _ = check(corrupt, 1000, {})
+                except IndexError:
+                    # the range rule itself read past a truncated list
+                    assert verdicts == [] and truncate is not None
+                    continue
+            assert len(verdicts) == 1
+            if verdicts[0]:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(wythoff.verify, "_proved", lambda *args: False)
+                    assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
+
+    def test_prime_proof_refuses_a_corrupted_table(self):
+        proof = wythoff.verify._prime_proof
+        genuine = wythoff.primes.build_prime_gap(wythoff.primes.sieve_limit_for(500))
+        assert wythoff.verify._proved(proof, genuine.primes, genuine.composites, 500)
+        for edits in (
+            [("composites", 40, 0)],
+            [("primes", 99, 0)],
+            [("primes", 3, 10**9)],  # a composite index past the end
+            # prime(3) = 4 reads composite(0), which would wrap onto a last entry of 3
+            [("primes", 2, 4), ("composites", -1, 3)],
+        ):
+            corrupt = wythoff.primes.build_prime_gap(wythoff.primes.sieve_limit_for(500))
+            for array, index, value in edits:
+                getattr(corrupt, array)[index] = value
+            assert not wythoff.verify._proved(proof, corrupt.primes, corrupt.composites, 500)
+        short = genuine.primes[:499]
+        assert not wythoff.verify._proved(proof, short, genuine.composites, 500)
+
+    def test_forced_fallback_gives_the_same_reports(self, monkeypatch):
+        def runs():
+            reports = list(verify_all(2000, 60, 500))
+            for case in FLIP_SETS:
+                reports += fault_injected_reports(1000, *case)
+            return [r.to_dict() for r in reports]
+
+        proved = runs()
+        monkeypatch.setattr(wythoff.verify, "_proved", lambda *args: False)
+        assert runs() == proved
+
+    @pytest.mark.parametrize("identity_id", PROVED_IDS)
+    def test_no_reference_scan_on_a_genuine_table(self, monkeypatch, identity_id):
+        # a proof stuck at False would scan every n again and pass unseen
+        def refuse(*args):
+            raise AssertionError(f"{identity_id} ran its reference rule")
+
+        monkeypatch.setattr(wythoff.verify, "_scan", refuse)
+        monkeypatch.setattr(wythoff.verify, "check_prime_claim", refuse)
+        n_max = 500 if identity_id == "prime-claim" else 1000
+        table = None if identity_id == "prime-claim" else PRISTINE_1000
+        assert verify_identity(identity_id, n_max, table).passed
 
 
 class TestReportOutput:
