@@ -425,7 +425,7 @@ class TestProofs:
         st.one_of(st.none(), st.tuples(st.sampled_from(["p", "q"]), st.integers(0, 1000))),
     )
     @example([("p", 2, 1)], None)  # p(1..3) = 1, 4, 4: steps 3 and 0
-    @example([("p", 3, -1)], None)  # p(2..4) = 3, 3, 6: the C-no3p gap of 2 is split
+    @example([("p", 3, -1)], None)  # p(3) - p(1) = 2 with no three consecutive values
     @example([("p", 5, -1001)], None)  # p(p(5)) read through a wrapped index
     @example([("q", 5, -1001)], None)  # p(q(5)) and q(q(5)) likewise
     @example([("q", 9, -(10**20))], None)
