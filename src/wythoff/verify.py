@@ -5,25 +5,25 @@ named identity that checks its maximal valid sub-range of [1, n_max] and
 reports counterexamples.  Each table identity is one declared rule: a
 range rule giving the last n it may check, and a per-n rule, and one
 shared scan walks every such range.  Only the partition identity L2,
-which walks values rather than indices, keeps its own loop.  Two pairs of
-identities share one pass each, run once per `verify_all` or
-`fault_injected_reports` call: C3 and L5 one merge count of the lower
-values, taken only when p[1..n_max] is non-decreasing (any other table
-runs their bisect rules, which stay the reference), and L-E and E-zero
-one evaluation of the gap p(n) - floor(n*phi) per n.  Every identity
-caps its counterexamples through the same helper.
+which walks values rather than indices, keeps its own loop.  Every
+identity caps its counterexamples through the same helper.
 
-Fast proof, reference witness: the step identities, the compositions
-and prime-claim also carry a proof, one C-level pass of ``map`` and
-``islice`` over the arrays that is true only when the identity holds on
-its whole range.  A true proof is the report.  Otherwise the per-n
-reference rule runs and names the counterexamples, so every
-counterexample still comes from the reference rule.  Two guards keep a
-proof from passing where its rule fails: the arrays must reach the last
-entry the range reads, as ``islice`` quietly stops at a list's end, and
-every entry used as an index must be at least 1, as a list lookup wraps
-negative indices.  A guard that fails, or a lookup past the end, raises
-IndexError or ValueError, and that counts as no proof.
+Fast proof, reference witness: every table identity but L2, and
+prime-claim, also carries a proof, one pass over the arrays (C-level
+``map`` and ``islice`` where it can be) that is true only when the
+identity holds on its whole range.  A true
+proof is the report.  Otherwise the per-n reference rule runs and names
+the counterexamples, so every counterexample comes from the reference
+rule.  Two pairs of identities share one proof each, run once per
+`verify_all` or `fault_injected_reports` call: C3 and L5 one merge
+count of the lower values, which proves nothing unless p[1..n_max] is
+non-decreasing, and L-E and E-zero one comparison of p(n) with
+floor(n*phi) per n.  Two guards keep a proof from passing where its
+rule fails: the arrays must reach the last entry the range reads, as
+``islice`` quietly stops at a list's end, and every entry used as an
+index must be at least 1, as a list lookup wraps negative indices.  A
+guard that fails, or a lookup past the end, raises IndexError or
+ValueError, and that counts as no proof.
 
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from operator import le, lt, sub
+from operator import eq, le, lt, sub
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -99,11 +99,11 @@ class Identity:
     """Registry entry: stable id, human statement, and the checker.
 
     ``kind`` selects the checker signature: "table" checkers take
-    (PairTable, n_max, shared), where ``shared`` holds the passes one
-    registry run has made over the table so far, "game" checkers take a
-    solver cap, and "prime" checkers take a prime-index bound.  A
-    checker may try a proof first and run its reference rule only when
-    the proof fails; either way it returns the same report.
+    (PairTable, n_max, shared), where ``shared`` holds the verdicts of
+    the proofs one registry run has tried on the table so far, "game"
+    checkers take a solver cap, and "prime" checkers take a prime-index
+    bound.  A checker may try a proof first and run its reference rule
+    only when the proof fails; either way it returns the same report.
     ``conjecture`` marks identities that are empirically supported but
     unproven, so their failures are reported as conjecture
     counterexamples rather than engine bugs.
@@ -197,37 +197,19 @@ def _table_rule(
     A true ``proof(p, q, top)`` is the report, with no counterexamples.
     Otherwise the reference rule runs on every n and names them.  Proofs
     read the arrays through the two guards, ``_entries`` (the list
-    reaches the range's end) and ``_composed`` (no index below 1).
+    reaches the range's end) and ``_composed`` (no index below 1).  The
+    verdict is kept in ``shared`` under (proof, top), so two identities
+    that share a proof run it once per registry run.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
         top = hi(table, n_max)
-        if proof is not None and _proved(proof, table.p, table.q, top):
-            return 1, top, []
+        if proof is not None:
+            if (proof, top) not in shared:
+                shared[proof, top] = _proved(proof, table.p, table.q, top)
+            if shared[proof, top]:
+                return 1, top, []
         return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
-
-    return check
-
-
-def _pass_rule(
-    hi: Callable[[PairTable, int], int], rule: Callable, pass_: Callable, slot: int
-) -> Callable:
-    """Checker for an identity that one pass checks together with another.
-
-    ``pass_(p, n_max)`` returns the two identities' capped counterexample
-    lists, or None on a table outside its precondition, where the
-    identity scans its reference rule instead.  The pass runs once per
-    ``shared`` dict, which lives for one registry run and holds only
-    those lists.
-    """
-    reference = _table_rule(hi, rule)
-
-    def check(table: PairTable, n_max: int, shared: dict):
-        if pass_ not in shared:
-            shared[pass_] = pass_(table.p, n_max)
-        if shared[pass_] is None:
-            return reference(table, n_max, shared)
-        return 1, hi(table, n_max), shared[pass_][slot]
 
     return check
 
@@ -252,41 +234,32 @@ def _c3_rule(n: int, p: list[int], q: list[int], m: int):
     return want, got
 
 
-def _count_pass(p: list[int], n_max: int):
-    """C3 and L5 over [1, n_max - 1] by one merge count over p[1..n_max].
+def _count_proof(p: list[int], q: list[int], top: int) -> bool:
+    """C3 and L5 on [1, top] by one merge count over p[1..top + 1].
 
-    Where p[1..n_max] is non-decreasing, c(n) = #{i <= n_max : p[i] <= n}
+    Where p[1..top + 1] is non-decreasing, c(n) = #{i <= top + 1 : p[i] <= n}
     needs one pointer; C3's bisect counts min(c(n), n) of those values,
     and n is a lower value exactly when c(n) > c(n - 1).  Any other table
-    gets None: there the bisects and a merge count can disagree.
+    gets no proof: there the bisects and a merge count can disagree.
     """
-    if len(p) <= n_max or not all(map(le, islice(p, 1, n_max), islice(p, 2, n_max + 1))):
-        return None
-    c3: list[Counterexample] = []
-    l5: list[Counterexample] = []
-    values = islice(p, 1, n_max + 1)
-    # c counts the values taken so far, nxt is the next one; n_max is a
+    if not all(map(le, _entries(p, top), _entries(p, top, 1))):
+        return False
+    end = top + 1
+    values = _entries(p, end)
+    # c counts the values taken so far, nxt is the next one; end is a
     # sentinel past every n checked
-    c, nxt = 0, next(values, n_max)
+    c, nxt = 0, next(values, end)
     while nxt <= 0:
-        c, nxt = c + 1, next(values, n_max)
+        c, nxt = c + 1, next(values, end)
     a = p[1]
-    for n, b in enumerate(islice(p, 2, n_max + 1), 1):
+    for n, b in enumerate(_entries(p, top, 1), 1):
         lower = nxt <= n
         while nxt <= n:
-            c, nxt = c + 1, next(values, n_max)
-        want = (c if c < n else n) + n + 1
-        if b != want or (b - a == 2) != lower:
-            if b != want and len(c3) < MAX_COUNTEREXAMPLES:
-                c3.append(Counterexample(n, want, b))
-            if (b - a == 2) != lower and len(l5) < MAX_COUNTEREXAMPLES:
-                l5.append(Counterexample(
-                    n, "step 2 iff n in lower sequence", f"step={b - a}, member={lower}"
-                ))
-            if len(c3) == MAX_COUNTEREXAMPLES == len(l5):
-                break
+            c, nxt = c + 1, next(values, end)
+        if b != (c if c < n else n) + n + 1 or (b - a == 2) != lower:
+            return False
         a = b
-    return c3, l5
+    return True
 
 
 def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
@@ -300,25 +273,9 @@ _WIDE_GAP_RULE = _error_rule((-1, 0, 1), "e in {-1, 0, 1}")
 _NONZERO_GAP_RULE = _error_rule((0,), 0)
 
 
-def _gap_pass(p: list[int], n_max: int):
-    """L-E and E-zero over [1, n_max] from one gap p(n) - beatty_p(n) per n.
-
-    Every L-E failure is an E-zero failure too, so the pass is done once
-    L-E's list is full.  A table shorter than n_max + 1 gets None.
-    """
-    if len(p) <= n_max:
-        return None
-    wide: list[Counterexample] = []
-    nonzero: list[Counterexample] = []
-    for n in range(1, n_max + 1):
-        if e := p[n] - beatty_p(n):
-            if len(nonzero) < MAX_COUNTEREXAMPLES:
-                nonzero.append(Counterexample(n, 0, e))
-            if not -1 <= e <= 1:
-                wide.append(Counterexample(n, "e in {-1, 0, 1}", e))
-                if len(wide) == MAX_COUNTEREXAMPLES:
-                    break
-    return wide, nonzero
+def _gap_proof(p: list[int], q: list[int], top: int) -> bool:
+    """E-zero on [1, top], p(n) = floor(n*phi); it implies L-E there."""
+    return all(map(eq, _entries(p, top), map(beatty_p, range(1, top + 1))))
 
 
 def _partition(table: PairTable, n_max: int, shared: dict):
@@ -434,11 +391,11 @@ _IDENTITIES = (
         ),
         lambda p, q, top: set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1},
     )),
-    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _pass_rule(
-        lambda t, m: m - 1, _l5_rule, _count_pass, 1,
+    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
+        lambda t, m: m - 1, _l5_rule, _count_proof,
     )),
-    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _pass_rule(
-        lambda t, m: m - 1, _c3_rule, _count_pass, 0,
+    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _table_rule(
+        lambda t, m: m - 1, _c3_rule, _count_proof,
     )),
     Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _table_rule(
         lambda t, m: _index_bound(t.p, m),
@@ -480,11 +437,11 @@ _IDENTITIES = (
         ),
         lambda p, q, top: set(map(sub, _composed(p, q, top), _composed(q, p, top))) <= {1},
     )),
-    Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _pass_rule(
-        lambda t, m: m, _WIDE_GAP_RULE, _gap_pass, 0,
+    Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
+        lambda t, m: m, _WIDE_GAP_RULE, _gap_proof,
     )),
-    Identity("E-zero", "recursive equals closed form exactly", "table", _pass_rule(
-        lambda t, m: m, _NONZERO_GAP_RULE, _gap_pass, 1,
+    Identity("E-zero", "recursive equals closed form exactly", "table", _table_rule(
+        lambda t, m: m, _NONZERO_GAP_RULE, _gap_proof,
     ), conjecture=True),
     Identity("game-equiv", "retrograde losing set equals the pair set", "game", _game_equivalence),
     Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _prime_gap_claim),
@@ -502,9 +459,9 @@ def verify_identity(
 
     For "game" identities n_max is the solver's pile cap; for "prime"
     identities it bounds the prime index.  A prebuilt table may be
-    passed to share construction work across table identities; it must
-    cover at least n_max entries.  An identity that shares a pass with
-    another runs that pass itself here.
+    passed to share construction work across table identities; its
+    ``p`` and ``q`` lists must cover at least n_max entries.  Every
+    counterexample comes from the identity's reference rule.
     """
     return _verify(identity_id, n_max, table, {})
 
@@ -512,7 +469,7 @@ def verify_identity(
 def _verify(
     identity_id: str, n_max: int, table: PairTable | None, shared: dict
 ) -> VerificationReport:
-    """verify_identity, with the passes computed so far in this run."""
+    """verify_identity, with the proof verdicts found so far in this run."""
     ident = REGISTRY.get(identity_id)
     if ident is None:
         raise UnknownIdentityError(
@@ -524,10 +481,10 @@ def _verify(
     if ident.kind == "table":
         if table is None:
             table = build_recursive(n_max)
-        elif table.n_max < n_max:
-            raise RangeError(
-                f"supplied table covers {table.n_max} entries, need {n_max}"
-            )
+        # the lists, not only n_max: either may have been shortened in place
+        covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
+        if covers < n_max:
+            raise RangeError(f"supplied table covers {covers} entries, need {n_max}")
         lo, hi, ces = ident.check(table, n_max, shared)
     else:
         lo, hi, ces = ident.check(n_max)
@@ -540,7 +497,7 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run the whole registry; engine errors become failed reports.
 
-    Table identities share one table built at n_max and the passes over
+    Table identities share one table built at n_max and the proofs over
     it, and a failed build fails each of them with that one error; the
     table is released before the "game" identities run at game_cap and
     the "prime" identities at prime_n_max.  The result list always covers

@@ -261,6 +261,18 @@ PRISTINE_1000 = build_recursive(1000)
 TABLE_IDS = [i for i in ALL_IDS if REGISTRY[i].kind == "table"]
 
 
+class TestTruncatedTable:
+    """A table whose p or q list was shortened in place is refused up front."""
+
+    @pytest.mark.parametrize("array", ["p", "q"])
+    @pytest.mark.parametrize("identity_id", TABLE_IDS)
+    def test_short_list_raises_range_error(self, identity_id, array):
+        short = PRISTINE_1000.copy()
+        del getattr(short, array)[1000:]  # one entry short of n_max
+        with pytest.raises(RangeError):
+            verify_identity(identity_id, 1000, short)
+
+
 class TestCorruptedTable:
     """A corrupted table yields failed reports, never an exception."""
 
@@ -399,7 +411,8 @@ class TestSharedPasses:
 
 
 PROVED_IDS = (
-    "L1", "C2", "L3", "C-dq", "C-no3p", "L4", "C-qp", "L-pq", "C-pair", "C-final", "prime-claim",
+    "L1", "C2", "L3", "C-dq", "C-no3p", "L4", "L5", "C3", "C-qp", "L-pq", "C-pair", "C-final",
+    "L-E", "E-zero", "prime-claim",
 )
 
 # one corrupted entry: (array, index, delta), with small, large and huge
@@ -479,6 +492,14 @@ class TestProofs:
             assert not wythoff.verify._proved(proof, corrupt.primes, corrupt.composites, 500)
         short = genuine.primes[:499]
         assert not wythoff.verify._proved(proof, short, genuine.composites, 500)
+
+    @pytest.mark.parametrize("identity_id", ["C3", "L5"])
+    def test_count_proof_refuses_an_unsorted_table(self, identity_id):
+        # without its sortedness guard, the merge count would accept p(1)
+        # past the range followed by p(n + 1) = n + 1; the bisect rules do not
+        unsorted = PRISTINE_1000.copy()
+        unsorted.p[:] = [0, 1000, *range(2, 1001)]
+        assert not verify_identity(identity_id, 1000, unsorted).passed
 
     def test_forced_fallback_gives_the_same_reports(self, monkeypatch):
         def runs():
