@@ -27,7 +27,6 @@ table and solver ceilings).
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from collections import Counter
@@ -48,21 +47,15 @@ _FORMATS = click.Choice(["table", "csv", "json"])
 _JSON_ROW = json.JSONEncoder(indent=2)
 
 
-def _engine_errors(f):
-    """Map engine exceptions to the exit-code contract (2 usage, 3 capacity)."""
+class _EngineErrors(click.Group):
+    """Maps engine exceptions to the exit-code contract (2 usage, 3 capacity)."""
 
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return f(*args, **kwargs)
-        except CapacityError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+            return super().invoke(ctx)
         except WythoffError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+            sys.exit(3 if isinstance(exc, CapacityError) else 2)
 
 
 def _token(value) -> str:
@@ -153,7 +146,7 @@ def _describe_move(move: Move, x: int, y: int) -> str:
     return f"take {move.amount} from the {pile} pile"
 
 
-@click.group()
+@click.group(cls=_EngineErrors)
 def main():
     """Complementary golden-ratio sequences, the take-away game they
     solve, and a prime analogue, with a machine-checked identity suite."""
@@ -169,7 +162,6 @@ def main():
 )
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_engine_errors
 def gen(n_max, method, fmt, out):
     """Emit the first N sequence pairs (recursion, closed form, or both)."""
     arguments = {"n_max": n_max, "method": method, "format": fmt}
@@ -198,7 +190,6 @@ def gen(n_max, method, fmt, out):
 )
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_engine_errors
 def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
     """Check registered identities; exit 1 if any report fails."""
     if run_all == (identity_id is not None):
@@ -254,7 +245,6 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
     show_default=True,
 )
 @click.option("--game-cap", type=click.IntRange(min=1), default=300, show_default=True)
-@_engine_errors
 def classify(a, b, oracle, game_cap):
     """Report whether the position A B is winning or losing for the mover."""
     state = GameState.of(a, b)
@@ -276,7 +266,6 @@ def classify(a, b, oracle, game_cap):
 @main.command(name="best-move")
 @click.argument("a", type=click.IntRange(min=0))
 @click.argument("b", type=click.IntRange(min=0))
-@_engine_errors
 def best_move_cmd(a, b):
     """Print one winning move from A B, or exit 1 if the position is losing."""
     state = GameState.of(a, b)
@@ -290,7 +279,6 @@ def best_move_cmd(a, b):
 @click.option("--n-max", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_engine_errors
 def error_term_cmd(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
@@ -314,7 +302,6 @@ def error_term_cmd(n_max, fmt, out):
 @click.option("--sieve-limit", type=click.IntRange(min=4), default=None)
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_engine_errors
 def primes(n_max, sieve_limit, fmt, out):
     """Check the composite-index identity for prime indices 3..N."""
     limit = sieve_limit if sieve_limit is not None else sieve_limit_for(n_max)

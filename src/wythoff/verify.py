@@ -11,19 +11,18 @@ identity caps its counterexamples through the same helper.
 Fast proof, reference witness: every table identity but L2, and
 prime-claim, also carries a proof, one pass over the arrays (C-level
 ``map`` and ``islice`` where it can be) that is true only when the
-identity holds on its whole range.  A true
-proof is the report.  Otherwise the per-n reference rule runs and names
-the counterexamples, so every counterexample comes from the reference
-rule.  Two pairs of identities share one proof each, run once per
-`verify_all` or `fault_injected_reports` call: C3 and L5 one merge
-count of the lower values, which proves nothing unless p[1..n_max] is
-non-decreasing, and L-E and E-zero one comparison of p(n) with
-floor(n*phi) per n.  Two guards keep a proof from passing where its
-rule fails: the arrays must reach the last entry the range reads, as
-``islice`` quietly stops at a list's end, and every entry used as an
-index must be at least 1, as a list lookup wraps negative indices.  A
-guard that fails, or a lookup past the end, raises IndexError or
-ValueError, and that counts as no proof.
+identity holds on its whole range.  A true proof is the report.
+Otherwise the per-n reference rule runs and names the counterexamples,
+so every counterexample comes from the reference rule.  Two proofs are
+shared, each run once per `verify_all` or `fault_injected_reports`
+call: the step proof checks the recursion's own facts and settles L1,
+L3, L5, C3, C2 and C-dq, and the gap proof compares p(n) with
+floor(n*phi) and settles L-E and E-zero.  Two guards keep a proof from
+passing where its rule fails: the arrays must reach the last entry the
+range reads, as ``islice`` quietly stops at a list's end, and every
+entry used as an index must be at least 1, as a list lookup wraps
+negative indices.  A guard that fails, or a lookup past the end, raises
+IndexError or ValueError, and that counts as no proof.
 
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
@@ -42,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from operator import eq, le, lt, sub
+from operator import eq, sub
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -126,12 +125,6 @@ def _index_bound(values: list[int], n_max: int) -> int:
     return bisect_right(values, n_max, 1, n_max + 1) - 1
 
 
-def _is_lower_value(p: list[int], n_max: int, m: int) -> bool:
-    """Whether m appears among p[1..n_max], by binary search on the array."""
-    i = bisect_left(p, m, 1, n_max + 1)
-    return i <= n_max and p[i] == m
-
-
 # A per-n rule returns None where its identity holds and the pair
 # (expected, actual) where it fails.  A lookup whose index falls outside
 # the table fails with _OUTSIDE instead of raising or wrapping around.
@@ -198,8 +191,8 @@ def _table_rule(
     Otherwise the reference rule runs on every n and names them.  Proofs
     read the arrays through the two guards, ``_entries`` (the list
     reaches the range's end) and ``_composed`` (no index below 1).  The
-    verdict is kept in ``shared`` under (proof, top), so two identities
-    that share a proof run it once per registry run.
+    verdict is kept in ``shared`` under (proof, top), so the six step
+    identities, and L-E with E-zero, run their shared proof once per run.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
@@ -215,13 +208,12 @@ def _table_rule(
 
 
 def _l5_rule(n: int, p: list[int], q: list[int], m: int):
-    """L5 by binary search for n among the lower values."""
-    if (p[n + 1] - p[n] == 2) == _is_lower_value(p, m, n):
+    """L5 by binary search for n among the lower values p[1..m]."""
+    i = bisect_left(p, n, 1, m + 1)
+    member = i <= m and p[i] == n
+    if (p[n + 1] - p[n] == 2) == member:
         return None
-    return (
-        "step 2 iff n in lower sequence",
-        f"step={p[n + 1] - p[n]}, member={_is_lower_value(p, m, n)}",
-    )
+    return "step 2 iff n in lower sequence", f"step={p[n + 1] - p[n]}, member={member}"
 
 
 def _c3_rule(n: int, p: list[int], q: list[int], m: int):
@@ -234,32 +226,32 @@ def _c3_rule(n: int, p: list[int], q: list[int], m: int):
     return want, got
 
 
-def _count_proof(p: list[int], q: list[int], top: int) -> bool:
-    """C3 and L5 on [1, top] by one merge count over p[1..top + 1].
+# the step of p after n, indexed by whether n is a lower value
+_STEP_AFTER = bytes.maketrans(b"\0\1", b"\1\2")
 
-    Where p[1..top + 1] is non-decreasing, c(n) = #{i <= top + 1 : p[i] <= n}
-    needs one pointer; C3's bisect counts min(c(n), n) of those values,
-    and n is a lower value exactly when c(n) > c(n - 1).  Any other table
-    gets no proof: there the bisects and a merge count can disagree.
+
+def _step_proof(p: list[int], q: list[int], top: int) -> bool:
+    """The recursion's own facts: p(1) = 1, q(n) = p(n) + n on [1, top + 1],
+    and p(n + 1) - p(n) is 2 where n is in p[1..top] and 1 elsewhere.
+
+    Each identity that shares it follows by arithmetic at each n or by a
+    running sum, never through a theorem about Wythoff pairs, which would
+    pass a wrongly stated identity.  L1, L3: each step of p is 1 or 2.
+    C2, C-dq: a step of q is that of p plus 1.  L5: p rises and
+    p(top + 1) > top, so the bisect finds n exactly when n is in p[1..top].
+    C3: p(n + 1) = 1 + n + #{lower values <= n}, and bisect_right over
+    p[1..n] counts them as p(i) >= i.  ``bytes`` raises ValueError on a
+    step outside 0..255: no proof.
     """
-    if not all(map(le, _entries(p, top), _entries(p, top, 1))):
-        return False
-    end = top + 1
-    values = _entries(p, end)
-    # c counts the values taken so far, nxt is the next one; end is a
-    # sentinel past every n checked
-    c, nxt = 0, next(values, end)
-    while nxt <= 0:
-        c, nxt = c + 1, next(values, end)
-    a = p[1]
-    for n, b in enumerate(_entries(p, top, 1), 1):
-        lower = nxt <= n
-        while nxt <= n:
-            c, nxt = c + 1, next(values, end)
-        if b != (c if c < n else n) + n + 1 or (b - a == 2) != lower:
-            return False
-        a = b
-    return True
+    marks = bytearray(top + 1)  # marks[n] is 1 where n is in p[1..top]
+    for value in _entries(p, top):
+        if 0 < value <= top:
+            marks[value] = 1
+    return (
+        p[1] == 1
+        and bytes(_steps(p, top)) == marks[1:].translate(_STEP_AFTER)
+        and all(map(eq, map(sub, _entries(q, top + 1), _entries(p, top + 1)), count(1)))
+    )
 
 
 def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
@@ -357,23 +349,23 @@ _IDENTITIES = (
     Identity("L1", "lower sequence strictly increasing", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if p[n] < p[n + 1] else (f"> {p[n]}", p[n + 1]),
-        lambda p, q, top: all(map(lt, _entries(p, top), _entries(p, top, 1))),
+        _step_proof,
     )),
     Identity("C2", "no two adjacent integers in the upper sequence", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (gap := q[n + 1] - q[n]) >= 2 else ("gap >= 2", gap),
-        lambda p, q, top: min(_steps(q, top), default=2) >= 2,
+        _step_proof,
     )),
     Identity("L2", "the two sequences partition the positive integers", "table", _partition),
     Identity("L3", "lower-sequence steps are 1 or 2", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := p[n + 1] - p[n]) in (1, 2) else ("step in {1, 2}", s),
-        lambda p, q, top: set(_steps(p, top)) <= {1, 2},
+        _step_proof,
     )),
     Identity("C-dq", "upper-sequence steps are 2 or 3", "table", _table_rule(
         lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := q[n + 1] - q[n]) in (2, 3) else ("step in {2, 3}", s),
-        lambda p, q, top: set(_steps(q, top)) <= {2, 3},
+        _step_proof,
     )),
     Identity("C-no3p", "no three consecutive integers in the lower sequence", "table", _table_rule(
         lambda t, m: m - 2,
@@ -392,10 +384,10 @@ _IDENTITIES = (
         lambda p, q, top: set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1},
     )),
     Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
-        lambda t, m: m - 1, _l5_rule, _count_proof,
+        lambda t, m: m - 1, _l5_rule, _step_proof,
     )),
     Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _table_rule(
-        lambda t, m: m - 1, _c3_rule, _count_proof,
+        lambda t, m: m - 1, _c3_rule, _step_proof,
     )),
     Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _table_rule(
         lambda t, m: _index_bound(t.p, m),

@@ -335,8 +335,11 @@ class TestCorruptedTable:
         assert (rep.lo, rep.hi, rep.passed) == (1, -5, True)
 
 
+STEP_IDS = ("L1", "C2", "L3", "C-dq", "L5", "C3")
+
+
 class TestSharedPasses:
-    """C3 + L5 and L-E + E-zero each take one pass over the table."""
+    """The six step identities share one proof, and L-E + E-zero another."""
 
     def test_one_closed_form_call_per_n(self, monkeypatch):
         calls = []
@@ -348,6 +351,19 @@ class TestSharedPasses:
         monkeypatch.setattr(wythoff.verify, "beatty_p", counting_beatty_p)
         assert all(r.passed for r in verify_all(3000, 30, 20))
         assert sorted(calls) == list(range(1, 3001))
+
+    def test_each_proof_runs_once_per_registry_run(self, monkeypatch):
+        proved = wythoff.verify._proved
+        proofs = []
+
+        def recording(proof, *args):
+            proofs.append(proof)
+            return proved(proof, *args)
+
+        monkeypatch.setattr(wythoff.verify, "_proved", recording)
+        assert all(r.passed for r in verify_all(2000, 60, 500))
+        assert len(proofs) == len(set(proofs))
+        assert {wythoff.verify._step_proof, wythoff.verify._gap_proof} <= set(proofs)
 
     @pytest.mark.parametrize("identity_id", ["C3", "L5"])
     def test_no_bisect_on_a_genuine_table(self, monkeypatch, identity_id):
@@ -369,9 +385,11 @@ class TestSharedPasses:
     )
     @example("first", 2, 0)  # p(1) = 0 is counted before n = 1
     @example("shift", 2, 10**6)  # every value past the last n checked
+    @example("shift", 500, 0)  # the genuine table, which the step proof settles
     def test_sorted_corruption_matches_the_bisect_rules(self, kind, index, amount):
-        # corruptions that keep p[1..1000] non-decreasing take the merge
-        # count, which must give the bisect rules' counterexamples exactly
+        # corruptions that keep p[1..1000] non-decreasing: where the step
+        # proof holds, none of the six reference rules, the bisect rules of
+        # C3 and L5 among them, may find a counterexample
         corrupt = PRISTINE_1000.copy()
         p = corrupt.p
         if kind == "left":
@@ -383,31 +401,12 @@ class TestSharedPasses:
         else:
             p[1] = -amount
         assert all(a <= b for a, b in zip(p[1:], p[2:]))
-        for identity_id, rule in (
-            ("C3", wythoff.verify._c3_rule),
-            ("L5", wythoff.verify._l5_rule),
-        ):
-            reference = wythoff.verify._scan(rule, 999, p, corrupt.q, 1000)
-            got = verify_identity(identity_id, 1000, corrupt).counterexamples
-            assert list(got) == wythoff.verify._capped(reference)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.lists(
-        st.tuples(st.integers(min_value=1, max_value=1000), st.integers(min_value=-3, max_value=3)),
-        max_size=40,
-    ))
-    def test_gap_pass_matches_the_gap_rules(self, corruptions):
-        # any corruption, including enough to fill both capped lists
-        corrupt = PRISTINE_1000.copy()
-        for index, delta in corruptions:
-            corrupt.p[index] += delta
-        for identity_id, rule in (
-            ("L-E", wythoff.verify._WIDE_GAP_RULE),
-            ("E-zero", wythoff.verify._NONZERO_GAP_RULE),
-        ):
-            reference = wythoff.verify._scan(rule, 1000, corrupt.p, corrupt.q, 1000)
-            got = verify_identity(identity_id, 1000, corrupt).counterexamples
-            assert list(got) == wythoff.verify._capped(reference)
+        if wythoff.verify._proved(wythoff.verify._step_proof, p, corrupt.q, 999):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wythoff.verify, "_proved", lambda *args: False)
+                for identity_id in STEP_IDS:
+                    check = REGISTRY[identity_id].check
+                    assert check(corrupt, 1000, {}) == (1, 999, []), identity_id
 
 
 PROVED_IDS = (
@@ -493,13 +492,37 @@ class TestProofs:
         short = genuine.primes[:499]
         assert not wythoff.verify._proved(proof, short, genuine.composites, 500)
 
-    @pytest.mark.parametrize("identity_id", ["C3", "L5"])
+    @pytest.mark.parametrize("identity_id", STEP_IDS)
     def test_count_proof_refuses_an_unsorted_table(self, identity_id):
-        # without its sortedness guard, the merge count would accept p(1)
-        # past the range followed by p(n + 1) = n + 1; the bisect rules do not
+        # p(1) past the range followed by p(n + 1) = n + 1, with q = p + n so
+        # that the q fact holds and only p(1) != 1 and the negative first
+        # step can refuse the table; each of the six reference rules fails
         unsorted = PRISTINE_1000.copy()
         unsorted.p[:] = [0, 1000, *range(2, 1001)]
+        unsorted.q[:] = [0, *(unsorted.p[n] + n for n in range(1, 1001))]
+        assert not wythoff.verify._proved(wythoff.verify._step_proof, unsorted.p, unsorted.q, 999)
         assert not verify_identity(identity_id, 1000, unsorted).passed
+
+    @pytest.mark.parametrize("identity_id", ["C2", "C-dq"])
+    def test_step_proof_reads_q_at_n_max(self, identity_id):
+        # the last upper step, q(n_max) - q(n_max - 1), is 0 or 1 here
+        corrupt = PRISTINE_1000.copy()
+        corrupt.q[1000] -= 2
+        assert not verify_identity(identity_id, 1000, corrupt).passed
+
+    def test_step_proof_needs_p1_equal_to_1(self):
+        # the step rule started at p(1) = 2 gives 2, 3, 5, 7, 8, ...; C3's
+        # running sum is off by one while the other five identities hold
+        p, lower = [0, 2], {2}
+        for n in range(1, 1000):
+            p.append(p[n] + (2 if n in lower else 1))
+            lower.add(p[-1])
+        anchored = PairTable(1000, p, [0, *(p[n] + n for n in range(1, 1001))])
+        assert p[1:6] == [2, 3, 5, 7, 8]
+        assert not wythoff.verify._proved(wythoff.verify._step_proof, p, anchored.q, 999)
+        reports = {i: verify_identity(i, 1000, anchored) for i in STEP_IDS}
+        assert [i for i in STEP_IDS if not reports[i].passed] == ["C3"]
+        assert reports["C3"].counterexamples[0].to_dict() == {"n": 1, "expected": 2, "actual": 3}
 
     def test_forced_fallback_gives_the_same_reports(self, monkeypatch):
         def runs():
