@@ -12,7 +12,10 @@ integers.
 
 ``beatty_p`` / ``beatty_q`` compute the same values in closed form as
 floor(n*phi) and floor(n*phi^2), where phi is the golden ratio, using
-exact integer arithmetic only (no floating point at any width).  The two
+exact integer arithmetic only (no floating point at any width): the
+isqrt formula (n + isqrt(5*n^2)) // 2 below 2**31, and above it a
+fixed-point product with a cached floor(phi * 2**K) whose exact bracket
+falls back to the isqrt formula when it cannot decide.  The two
 routes are deliberately kept independent so each can serve as an oracle
 for the other.
 """
@@ -34,6 +37,11 @@ from .errors import CapacityError, RangeError
 # occupancy marks (~30 MB at the ceiling).
 _TABLE_CAP = 10_000_000
 
+# (K, floor(phi * 2**K)) for beatty_p above 2**31, replaced as one tuple.
+# K at least doubles when it grows, so it stays at most 2 * (bits + 64)
+# of the largest n seen.
+_phi_cache = (0, 1)
+
 
 class SeqKind(Enum):
     """Which of the two sequences an integer belongs to."""
@@ -53,13 +61,33 @@ class Membership:
 def beatty_p(n: int) -> int:
     """floor(n*phi) by exact integer arithmetic, for n >= 1.
 
-    With phi = (1 + sqrt5)/2, floor(n*phi) = (n + isqrt(5*n^2)) // 2.
-    sqrt5 is irrational, so 5*n^2 is never a perfect square beyond the
-    integer part and the floor can never be off by one.  Valid for
-    arbitrarily large n (Python integers are unbounded).
+    With phi = (1 + sqrt5)/2 the formula is (n + isqrt(5*n^2)) // 2:
+    isqrt(5*n^2) = floor(n*sqrt5), and (n + floor(x)) // 2 =
+    floor((n + x)/2) for any integer n, so the result is exactly
+    floor((n + n*sqrt5)/2).  Below 2**31 that formula is the cheapest
+    route.  Above, the kernel multiplies n by s = floor(phi * 2**k), with
+    k = n.bit_length() + 64, taken by a shift from one cached pair.  Since
+    s <= phi * 2**k < s + 1, floor(n*s / 2**k) and floor((n*s + n) / 2**k)
+    bracket floor(n*phi); when they agree that is the answer, and when
+    they do not (n*phi within 2**-64 of an integer, as at Fibonacci n)
+    the isqrt formula decides.  No floats are used at any width, and both
+    routes are exact for arbitrarily large n.
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
+    if n < 1 << 31:
+        return (n + isqrt(5 * n * n)) // 2
+    global _phi_cache
+    k = int.bit_length(n) + 64  # a TypeError for floats, as isqrt gives
+    top, scaled = _phi_cache
+    if k > top:
+        top = max(k, 2 * top)
+        scaled = ((1 << top) + isqrt(5 << 2 * top)) // 2
+        _phi_cache = top, scaled
+    prod = n * (scaled >> (top - k))
+    floor = prod >> k
+    if floor == (prod + n) >> k:
+        return floor
     return (n + isqrt(5 * n * n)) // 2
 
 

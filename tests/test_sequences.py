@@ -1,6 +1,8 @@
 """Sequence construction, closed-form kernels, and the table API."""
 
+import random
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,19 @@ def naive_pairs(n_max):
         used.add(m)
         used.add(m + n)
     return p, q
+
+
+def bracketed(n, m):
+    """m = floor(n*phi) exactly when 2m - n <= n*sqrt5 < 2m + 2 - n, squared."""
+    return (2 * m - n) ** 2 < 5 * n * n < (2 * m + 2 - n) ** 2
+
+
+def fibonacci(limit):
+    """Fibonacci numbers 1, 2, 3, 5, ... up to limit."""
+    a, b = 1, 2
+    while a <= limit:
+        yield a
+        a, b = b, a + b
 
 
 class TestBuildRecursive:
@@ -124,6 +139,11 @@ class TestClosedForm:
             with pytest.raises(RangeError):
                 fn(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3e9])
+    def test_rejects_floats_on_both_routes(self, n):
+        with pytest.raises(TypeError):
+            beatty_p(n)
+
     @given(st.integers(min_value=1, max_value=10**15))
     def test_q_is_p_plus_n(self, n):
         assert beatty_q(n) == beatty_p(n) + n
@@ -148,6 +168,53 @@ class TestClosedForm:
         is_lower = lowers >= 1 and beatty_p(lowers) == m
         is_upper = uppers >= 1 and beatty_q(uppers) == m
         assert is_lower != is_upper
+
+    def test_large_n_match_the_bracket(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            digits = rng.randint(10, 3000)
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert bracketed(n, beatty_p(n)), digits
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**31, 2**31 + 1])
+    def test_both_sides_of_the_fixed_point_threshold(self, n):
+        assert bracketed(n, beatty_p(n))
+
+    def test_fibonacci_n_match_the_bracket(self):
+        # n*phi lies within 1/n of an integer, so past ~2**63 every one of
+        # these takes the isqrt fallback
+        for n in fibonacci(10**1200):
+            assert bracketed(n, beatty_p(n)), n
+
+    def test_precision_grows_by_doubling(self, monkeypatch):
+        monkeypatch.setattr(wythoff.sequences, "_phi_cache", (0, 1))
+        largest = 0
+        # bit lengths at and just past each cached precision K - 64
+        for bits, cached in [(200, 264), (201, 528), (464, 528), (465, 1056)]:
+            for n in (1 << (bits - 1), (1 << bits) - 1):
+                assert bracketed(n, beatty_p(n)), bits
+                largest = max(largest, n.bit_length())
+                top, scaled = wythoff.sequences._phi_cache
+                assert top == cached
+                assert top <= 2 * (largest + 64)
+                assert bracketed(1 << top, scaled)
+
+    def test_isqrt_only_on_the_fallback(self, monkeypatch):
+        n = random.Random(16).randrange(10**999, 10**1000)
+        fib = max(fibonacci(10**1000))
+        expected = [(m + isqrt(5 * m * m)) // 2 for m in (n, fib)]
+        assert [beatty_p(n), beatty_p(fib)] == expected  # warms the cache
+        calls = []
+
+        def counting_isqrt(m):
+            calls.append(m)
+            return isqrt(m)
+
+        monkeypatch.setattr(wythoff.sequences, "isqrt", counting_isqrt)
+        assert beatty_p(n) == expected[0]
+        assert calls == []
+        assert beatty_p(fib) == expected[1]
+        assert calls == [5 * fib * fib]
 
 
 @pytest.fixture(scope="module")

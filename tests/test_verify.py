@@ -387,9 +387,10 @@ class TestSharedPasses:
     @example("shift", 2, 10**6)  # every value past the last n checked
     @example("shift", 500, 0)  # the genuine table, which the step proof settles
     def test_sorted_corruption_matches_the_bisect_rules(self, kind, index, amount):
-        # corruptions that keep p[1..1000] non-decreasing: where the step
-        # proof holds, none of the six reference rules, the bisect rules of
-        # C3 and L5 among them, may find a counterexample
+        # corruptions that keep p[1..1000] non-decreasing: the step proof
+        # holds only on the genuine table, and there none of the six
+        # reference rules, the bisect rules of C3 and L5 among them, may
+        # find a counterexample
         corrupt = PRISTINE_1000.copy()
         p = corrupt.p
         if kind == "left":
@@ -401,7 +402,9 @@ class TestSharedPasses:
         else:
             p[1] = -amount
         assert all(a <= b for a, b in zip(p[1:], p[2:]))
-        if wythoff.verify._proved(wythoff.verify._step_proof, p, corrupt.q, 999):
+        genuine = p == PRISTINE_1000.p
+        assert wythoff.verify._proved(wythoff.verify._step_proof, p, corrupt.q, 999) is genuine
+        if genuine:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(wythoff.verify, "_proved", lambda *args: False)
                 for identity_id in STEP_IDS:
