@@ -167,15 +167,13 @@ def gen(n_max, method, fmt, out):
     arguments = {"n_max": n_max, "method": method, "format": fmt}
     ns = range(1, n_max + 1)
     # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
-    if method == "recursive":
-        headers = ["n", "p", "q"]
-        rows = ((n, p, p + n) for n, p in zip(ns, lower_values(n_max)))
-    elif method == "beatty":
-        headers = ["n", "p", "q"]
-        rows = ((n, pb, pb + n) for n, pb in zip(ns, map(beatty_p, ns)))
-    else:
+    if method == "both":
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
         rows = ((n, p, p + n, pb, pb + n, p - pb) for n, p, pb in _rec_and_closed(n_max))
+    else:
+        headers = ["n", "p", "q"]
+        ps = lower_values(n_max) if method == "recursive" else map(beatty_p, ns)
+        rows = ((n, p, p + n) for n, p in zip(ns, ps))
     with _output(out) as stream:
         _emit(stream, fmt, "gen", arguments, headers, rows)
 

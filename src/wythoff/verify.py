@@ -13,16 +13,17 @@ prime-claim, also carries a proof, one pass over the arrays (C-level
 ``map`` and ``islice`` where it can be) that is true only when the
 identity holds on its whole range.  A true proof is the report.
 Otherwise the per-n reference rule runs and names the counterexamples,
-so every counterexample comes from the reference rule.  Two proofs are
+so every counterexample comes from the reference rule.  Four proofs are
 shared, each run once per `verify_all` or `fault_injected_reports`
-call: the step proof checks the recursion's own facts and settles L1,
-L3, L5, C3, C2 and C-dq, and the gap proof compares p(n) with
-floor(n*phi) and settles L-E and E-zero.  Two guards keep a proof from
-passing where its rule fails: the arrays must reach the last entry the
-range reads, as ``islice`` quietly stops at a list's end, and every
+call: the step proof settles L1, L3, L5, C3, C2 and C-dq, the square
+proof L4 and C-qp, the pq proof L-pq, C-pair and C-final, and the gap
+proof, p(n) = floor(n*phi), L-E and E-zero.  Three guards keep a proof
+from passing where its rule fails: the arrays must reach the last entry
+the range reads, as ``islice`` quietly stops at a list's end; every
 entry used as an index must be at least 1, as a list lookup wraps
-negative indices.  A guard that fails, or a lookup past the end, raises
-IndexError or ValueError, and that counts as no proof.
+negative indices; and p and q must have one length, as a proof reads q
+where a lookup into p reached.  A failed guard, or a lookup past the
+end, is no proof.
 
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
@@ -189,10 +190,9 @@ def _table_rule(
 
     A true ``proof(p, q, top)`` is the report, with no counterexamples.
     Otherwise the reference rule runs on every n and names them.  Proofs
-    read the arrays through the two guards, ``_entries`` (the list
-    reaches the range's end) and ``_composed`` (no index below 1).  The
-    verdict is kept in ``shared`` under (proof, top), so the six step
-    identities, and L-E with E-zero, run their shared proof once per run.
+    read the arrays through the guards ``_entries``, ``_composed`` and
+    ``_offsets``.  The verdict is kept in ``shared`` under (proof, top),
+    so identities that share a proof and a range run it once per run.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
@@ -230,8 +230,13 @@ def _c3_rule(n: int, p: list[int], q: list[int], m: int):
 _STEP_AFTER = bytes.maketrans(b"\0\1", b"\1\2")
 
 
+def _offsets(p: list[int], q: list[int]) -> bool:
+    """q(m) - p(m) = m at every index m, in two lists of one length."""
+    return len(p) == len(q) and all(map(eq, map(sub, q, p), count()))
+
+
 def _step_proof(p: list[int], q: list[int], top: int) -> bool:
-    """The recursion's own facts: p(1) = 1, q(n) = p(n) + n on [1, top + 1],
+    """The recursion's own facts: p(1) = 1, q(n) = p(n) + n (``_offsets``),
     and p(n + 1) - p(n) is 2 where n is in p[1..top] and 1 elsewhere.
 
     Each identity that shares it follows by arithmetic at each n or by a
@@ -247,11 +252,24 @@ def _step_proof(p: list[int], q: list[int], top: int) -> bool:
     for value in _entries(p, top):
         if 0 < value <= top:
             marks[value] = 1
-    return (
-        p[1] == 1
-        and bytes(_steps(p, top)) == marks[1:].translate(_STEP_AFTER)
-        and all(map(eq, map(sub, _entries(q, top + 1), _entries(p, top + 1)), count(1)))
-    )
+    steps = bytes(_steps(p, top))
+    return p[1] == 1 and steps == marks[1:].translate(_STEP_AFTER) and _offsets(p, q)
+
+
+def _square_proof(p: list[int], q: list[int], top: int) -> bool:
+    """``_offsets``, and L4 on [1, top]: it settles L4 and C-qp, as at each n
+    q(p(n)) = p(p(n)) + p(n) = p(n) + q(n) - 1.
+    """
+    return _offsets(p, q) and set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1}
+
+
+def _pq_proof(p: list[int], q: list[int], top: int) -> bool:
+    """``_square_proof``, and L-pq on [1, top]: it settles L-pq, C-pair and
+    C-final, as at each n q(q(n)) = p(q(n)) + q(n) = p(n) + 2q(n) and
+    q(p(n)) + 1 = p(p(n)) + p(n) + 1 = p(n) + q(n) = p(q(n)).
+    """
+    pq = map(sub, _composed(p, q, top), _entries(q, top))  # p(q(n)) - q(n)
+    return _square_proof(p, q, top) and all(map(eq, pq, _entries(p, top)))
 
 
 def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
@@ -381,7 +399,7 @@ _IDENTITIES = (
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
         ),
-        lambda p, q, top: set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1},
+        _square_proof,
     )),
     Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
         lambda t, m: m - 1, _l5_rule, _step_proof,
@@ -394,18 +412,14 @@ _IDENTITIES = (
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[n] + q[n] - 1) == (got := q[p[n]]) else (want, got)
         ),
-        lambda p, q, top: set(map(
-            sub, map(sub, _composed(q, p, top), _entries(p, top)), _entries(q, top)
-        )) <= {-1},
+        _square_proof,
     )),
     Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
             None if (want := p[n] + q[n]) == (got := p[q[n]]) else (want, got)
         ),
-        lambda p, q, top: set(map(
-            sub, map(sub, _composed(p, q, top), _entries(p, top)), _entries(q, top)
-        )) <= {0},
+        _pq_proof,
     )),
     Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
@@ -413,21 +427,14 @@ _IDENTITIES = (
             None if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (p[q[n]], q[q[n]]))
             else (str(want), str(got))
         ),
-        # given p(q(n)) = p(n) + q(n), q(q(n)) = p(n) + 2q(n) reads q(q(n)) - p(q(n)) = q(n);
-        # the first set's guard covers the second's lookups
-        lambda p, q, top: set(map(
-            sub, map(sub, _composed(p, q, top), _entries(p, top)), _entries(q, top)
-        )) <= {0} and set(map(
-            sub, map(sub, map(q.__getitem__, _entries(q, top)), map(p.__getitem__, _entries(q, top))),
-            _entries(q, top),
-        )) <= {0},
+        _pq_proof,
     )),
     Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 or q[n] < 1 else (
             None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
         ),
-        lambda p, q, top: set(map(sub, _composed(p, q, top), _composed(q, p, top))) <= {1},
+        _pq_proof,
     )),
     Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
         lambda t, m: m, _WIDE_GAP_RULE, _gap_proof,

@@ -339,7 +339,7 @@ STEP_IDS = ("L1", "C2", "L3", "C-dq", "L5", "C3")
 
 
 class TestSharedPasses:
-    """The six step identities share one proof, and L-E + E-zero another."""
+    """Shared proofs: the six step ids, L4 + C-qp, L-pq + C-pair + C-final, L-E + E-zero."""
 
     def test_one_closed_form_call_per_n(self, monkeypatch):
         calls = []
@@ -362,8 +362,13 @@ class TestSharedPasses:
 
         monkeypatch.setattr(wythoff.verify, "_proved", recording)
         assert all(r.passed for r in verify_all(2000, 60, 500))
-        assert len(proofs) == len(set(proofs))
-        assert {wythoff.verify._step_proof, wythoff.verify._gap_proof} <= set(proofs)
+        assert len(proofs) == len(set(proofs)) == 6
+        assert {
+            wythoff.verify._step_proof,
+            wythoff.verify._square_proof,
+            wythoff.verify._pq_proof,
+            wythoff.verify._gap_proof,
+        } <= set(proofs)
 
     @pytest.mark.parametrize("identity_id", ["C3", "L5"])
     def test_no_bisect_on_a_genuine_table(self, monkeypatch, identity_id):
@@ -416,18 +421,18 @@ PROVED_IDS = (
     "L1", "C2", "L3", "C-dq", "C-no3p", "L4", "L5", "C3", "C-qp", "L-pq", "C-pair", "C-final",
     "L-E", "E-zero", "prime-claim",
 )
+COMPOSITION_IDS = ("L4", "C-qp", "L-pq", "C-pair", "C-final")
 
-# one corrupted entry: (array, index, delta), with small, large and huge
-# deltas; a delta of minus the list length makes a lookup through that
-# entry wrap around onto the genuine value
+# small, large and huge deltas; a delta of minus the list length makes a
+# lookup through the shifted entry wrap around onto the genuine value
+DELTA = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([10**20, -(10**20), -1001]),
+).filter(bool)
+# one corrupted entry: (array, index, delta)
 CORRUPTION = st.tuples(
-    st.sampled_from(["p", "q"]),
-    st.integers(min_value=0, max_value=1000),
-    st.one_of(
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=-(10**6), max_value=10**6),
-        st.sampled_from([10**20, -(10**20), -1001]),
-    ).filter(bool),
+    st.sampled_from(["p", "q"]), st.integers(min_value=0, max_value=1000), DELTA
 )
 
 
@@ -473,6 +478,45 @@ class TestProofs:
                     continue
             assert len(verdicts) == 1
             if verdicts[0]:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(wythoff.verify, "_proved", lambda *args: False)
+                    assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=1000), DELTA),
+            min_size=1,
+            max_size=4,
+        ),
+        st.one_of(st.none(), st.tuples(st.sampled_from(["p", "q"]), st.integers(0, 1000))),
+    )
+    @example([(618, 1)], None)  # the last n of the p-range, p(618) = 999
+    @example([(618, -1)], None)
+    @example([(382, 1)], None)  # the last n of the q-range, q(382) = 1000
+    @example([(382, -1)], None)
+    @example([(1000, 1)], ("q", 999))  # C-qp reads q(p(618)) = q(999), cut off
+    def test_paired_shifts_leave_the_compositions_nothing(self, shifts, truncate):
+        # p(k) and q(k) shifted together keep q(k) - p(k) = k, which every
+        # single-entry corruption breaks, so here only L4, L-pq and the
+        # guards can refuse the table
+        corrupt = PRISTINE_1000.copy()
+        for index, delta in shifts:
+            corrupt.p[index] += delta
+            corrupt.q[index] += delta
+        if truncate is not None:
+            array, length = truncate
+            del getattr(corrupt, array)[length:]
+        for identity_id in COMPOSITION_IDS:
+            check = REGISTRY[identity_id].check
+            shared: dict = {}
+            try:
+                lo, hi, _ = check(corrupt, 1000, shared)
+            except IndexError:
+                # the range rule itself read past a truncated list
+                assert shared == {} and truncate is not None
+                continue
+            if all(shared.values()):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(wythoff.verify, "_proved", lambda *args: False)
                     assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
