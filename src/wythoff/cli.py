@@ -21,13 +21,16 @@ recursion never trips; if one did, it would raise after rows were
 written, and the command would still exit 3.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
-is losing, 2 argument errors, 3 capacity limits (brute-force cap, sieve,
-table and solver ceilings).
+is losing, 2 argument and I/O errors (an ``--out`` directory that is
+missing or not writable is refused before any work), 3 capacity limits
+(brute-force cap, sieve, table and solver ceilings), 141 stdout closed
+by its reader, as a shell reports a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -48,14 +51,42 @@ _JSON_ROW = json.JSONEncoder(indent=2)
 
 
 class _EngineErrors(click.Group):
-    """Maps engine exceptions to the exit-code contract (2 usage, 3 capacity)."""
+    """Maps exceptions to the exit-code contract (2 usage or I/O, 3 capacity, 141 pipe)."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
-        except WythoffError as exc:
+            try:
+                return super().invoke(ctx)
+            finally:
+                sys.stdout.flush()  # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            # the interpreter flushes stdout once more on exit; send that nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
+        except (WythoffError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, CapacityError) else 2)
+
+
+def _writable_dir(ctx, param, out):
+    """Refuse an --out whose directory cannot take the file, before any work.
+
+    click.Path checks only a file that already exists.  The file itself is
+    still opened where the command writes (see _output).
+    """
+    if out is not None:
+        folder = os.path.dirname(out) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise OSError(f"--out {out}: {folder} is not a writable directory")
+    return out
+
+
+_OUT = click.option(
+    "--out",
+    type=click.Path(dir_okay=False, writable=True),
+    default=None,
+    callback=_writable_dir,
+)
 
 
 def _token(value) -> str:
@@ -161,7 +192,7 @@ def main():
     show_default=True,
 )
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_OUT
 def gen(n_max, method, fmt, out):
     """Emit the first N sequence pairs (recursion, closed form, or both)."""
     arguments = {"n_max": n_max, "method": method, "format": fmt}
@@ -187,7 +218,7 @@ def gen(n_max, method, fmt, out):
     "--prime-n-max", type=click.IntRange(min=1), default=100, show_default=True
 )
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_OUT
 def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
     """Check registered identities; exit 1 if any report fails."""
     if run_all == (identity_id is not None):
@@ -244,7 +275,11 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
 )
 @click.option("--game-cap", type=click.IntRange(min=1), default=300, show_default=True)
 def classify(a, b, oracle, game_cap):
-    """Report whether the position A B is winning or losing for the mover."""
+    """Report whether the position A B is winning or losing for the mover.
+
+    A and B may have at most 4,300 digits, CPython's default limit on
+    converting a string to an int.
+    """
     state = GameState.of(a, b)
     if oracle == "closed":
         click.echo("LOSING" if is_losing(state) else "WINNING")
@@ -265,7 +300,11 @@ def classify(a, b, oracle, game_cap):
 @click.argument("a", type=click.IntRange(min=0))
 @click.argument("b", type=click.IntRange(min=0))
 def best_move_cmd(a, b):
-    """Print one winning move from A B, or exit 1 if the position is losing."""
+    """Print one winning move from A B, or exit 1 if the position is losing.
+
+    A and B may have at most 4,300 digits, CPython's default limit on
+    converting a string to an int.
+    """
     state = GameState.of(a, b)
     if is_losing(state):
         click.echo("position is losing")
@@ -276,7 +315,7 @@ def best_move_cmd(a, b):
 @main.command(name="error-term")
 @click.option("--n-max", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_OUT
 def error_term_cmd(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
@@ -299,7 +338,7 @@ def error_term_cmd(n_max, fmt, out):
 @click.option("--n-max", type=click.IntRange(min=3), default=100, show_default=True)
 @click.option("--sieve-limit", type=click.IntRange(min=4), default=None)
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_OUT
 def primes(n_max, sieve_limit, fmt, out):
     """Check the composite-index identity for prime indices 3..N."""
     limit = sieve_limit if sieve_limit is not None else sieve_limit_for(n_max)

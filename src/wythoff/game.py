@@ -249,7 +249,9 @@ def best_move(state: GameState) -> Move:
     Two move families are tried.  Take-from-both aims at the losing
     state of difference d, so one kernel call both classifies the state
     and aims the move; take-from-B aims at the pair completing the
-    smaller pile and is re-verified with the closed-form test.
+    smaller pile and is re-verified with the closed-form test.  When the
+    smaller pile is a lower value p(i), the re-check asks for the p(i)
+    the partner search just computed, which the kernel's memo answers.
 
     Take-from-A never wins first: were (x, b) losing with x < a, then
     x >= 1 and (x, b) = (p(k), q(k)) with k = b - x > d, so the losing

@@ -15,9 +15,10 @@ floor(n*phi) and floor(n*phi^2), where phi is the golden ratio, using
 exact integer arithmetic only (no floating point at any width): the
 isqrt formula (n + isqrt(5*n^2)) // 2 below 2**31, and above it a
 fixed-point product with a cached floor(phi * 2**K) whose exact bracket
-falls back to the isqrt formula when it cannot decide.  The two
-routes are deliberately kept independent so each can serve as an oracle
-for the other.
+falls back to the isqrt formula when it cannot decide.  Above 2**31 the
+last answer is kept, so a game query that asks for the same floor(n*phi)
+twice pays for one product.  The two routes are deliberately kept
+independent so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ _TABLE_CAP = 10_000_000
 # K at least doubles when it grows, so it stays at most 2 * (bits + 64)
 # of the largest n seen.
 _phi_cache = (0, 1)
+
+# (n, floor(n*phi)) of the last beatty_p call above 2**31, replaced as one
+# tuple like _phi_cache.
+_last = (0, 0)
 
 
 class SeqKind(Enum):
@@ -72,13 +77,23 @@ def beatty_p(n: int) -> int:
     they do not (n*phi within 2**-64 of an integer, as at Fibonacci n)
     the isqrt formula decides.  No floats are used at any width, and both
     routes are exact for arbitrarily large n.
+
+    Above 2**31 the last (n, answer) pair is kept in ``_last`` on both
+    routes, and a repeated n returns it with no product, as when
+    ``best_move`` follows ``is_losing`` or re-checks a partner.  It is read
+    after the bit_length call, so 3e9 still raises TypeError right after
+    3 * 10**9, which equals it.  One tuple, read and replaced whole, keeps
+    it thread-safe: n and its answer always come from the same call.
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
     if n < 1 << 31:
         return (n + isqrt(5 * n * n)) // 2
-    global _phi_cache
+    global _phi_cache, _last
     k = int.bit_length(n) + 64  # a TypeError for floats, as isqrt gives
+    last_n, last = _last
+    if n == last_n:
+        return last
     top, scaled = _phi_cache
     if k > top:
         top = max(k, 2 * top)
@@ -86,9 +101,10 @@ def beatty_p(n: int) -> int:
         _phi_cache = top, scaled
     prod = n * (scaled >> (top - k))
     floor = prod >> k
-    if floor == (prod + n) >> k:
-        return floor
-    return (n + isqrt(5 * n * n)) // 2
+    if floor != (prod + n) >> k:
+        floor = (n + isqrt(5 * n * n)) // 2
+    _last = n, floor
+    return floor
 
 
 def beatty_q(n: int) -> int:

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import wythoff
+import wythoff.cli
 import wythoff.game
 import wythoff.sequences
 from wythoff import Counterexample, VerificationReport, build_recursive
@@ -394,3 +395,46 @@ def test_runs_as_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "n,p,q\n1,1,2\n2,3,5\n3,4,7\n"
+
+
+class TestOutputFailures:
+    """A missing --out directory or a closed stdout keeps the exit-code contract."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["gen"], ["verify", "--all"], ["error-term"], ["primes"]],
+    )
+    def test_missing_out_directory_exits_two_before_any_work(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        def refuse(*_):
+            raise AssertionError("verify_all ran before --out was checked")
+
+        monkeypatch.setattr(wythoff.cli, "verify_all", refuse)
+        target = tmp_path / "missing" / "rows.csv"
+        r = runner.invoke(main, [*args, "--format", "csv", "--out", str(target)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.output
+        assert not target.parent.exists()
+
+    def test_closed_pipe_exits_141_quietly(self):
+        src = str(Path(wythoff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # ~3 MB of csv, far more than a pipe buffers, so writes go on after the close
+        argv = [sys.executable, "-m", "wythoff.cli", "gen", "--n-max", "200000", "--format", "csv"]
+        with subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert proc.stdout.readline() == b"n,p,q\n"
+            proc.stdout.close()
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            assert proc.stderr.read() == b""
+        assert code == 141

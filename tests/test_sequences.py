@@ -1,6 +1,9 @@
 """Sequence construction, closed-form kernels, and the table API."""
 
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from math import isqrt
 
@@ -215,6 +218,78 @@ class TestClosedForm:
         assert calls == []
         assert beatty_p(fib) == expected[1]
         assert calls == [5 * fib * fib]
+
+
+class TestLastAnswerMemo:
+    """The one-entry memo above 2**31 never changes an answer."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(wythoff.sequences, "_last", (0, 0))
+
+    @pytest.mark.parametrize("n, same", [(2**40, 2.0**40), (3 * 10**9, 3e9)])
+    def test_floats_raise_right_after_an_equal_int(self, n, same):
+        assert bracketed(n, beatty_p(n))
+        with pytest.raises(TypeError):
+            beatty_p(same)
+
+    def test_repeated_fibonacci_n_calls_isqrt_once(self, monkeypatch):
+        fib = max(fibonacci(10**100))
+        n = fib + 1
+        assert bracketed(n, beatty_p(n))  # warms the precision cache
+        calls = []
+
+        def counting_isqrt(m):
+            calls.append(m)
+            return isqrt(m)
+
+        monkeypatch.setattr(wythoff.sequences, "isqrt", counting_isqrt)
+        assert bracketed(fib, beatty_p(fib))
+        assert bracketed(fib, beatty_p(fib))
+        assert calls == [5 * fib * fib]
+        for m in (n, fib, n, fib):
+            assert bracketed(m, beatty_p(m)), m
+        assert calls == [5 * fib * fib] * 3
+
+    def test_a_hit_does_no_product(self, monkeypatch):
+        n = random.Random(17).randrange(10**999, 10**1000)
+        expected = beatty_p(n)
+        # a product with this scaled phi would give 0
+        monkeypatch.setattr(wythoff.sequences, "_phi_cache", (1 << 20, 0))
+        assert beatty_p(n) == expected
+        assert beatty_p(n + 1) == 0  # the poison reaches every miss
+
+    def test_threads_sharing_the_memo(self):
+        rng = random.Random(18)
+        pool = [rng.randrange(10**999, 10**1000) for _ in range(4)]
+        pool.append(max(fibonacci(10**1000)))  # the isqrt fallback route
+        wrong, done = [], []
+        deadline = time.perf_counter() + 0.5
+
+        def worker(seed):
+            # its own values, some of them repeated back to back
+            mine = random.Random(seed).choices(pool, k=16) + [pool[0] + seed] * 2
+            calls = 0
+            while time.perf_counter() < deadline:
+                for n in mine:
+                    if not bracketed(n, beatty_p(n)):
+                        wrong.append(n)
+                    calls += 1
+            done.append(calls)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == []
+        assert len(done) == 8 and min(done) > 0
 
 
 @pytest.fixture(scope="module")
