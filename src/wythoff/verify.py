@@ -8,22 +8,20 @@ shared scan walks every such range.  Only the partition identity L2,
 which walks values rather than indices, keeps its own loop.  Every
 identity caps its counterexamples through the same helper.
 
-Fast proof, reference witness: every table identity but L2, and
-prime-claim, also carries a proof, one pass over the arrays (C-level
-``map`` and ``islice`` where it can be) that is true only when the
-identity holds on its whole range.  A true proof is the report.
-Otherwise the per-n reference rule runs and names the counterexamples,
-so every counterexample comes from the reference rule.  Four proofs are
-shared, each run once per `verify_all` or `fault_injected_reports`
-call: the step proof settles L1, L3, L5, C3, C2 and C-dq, the square
-proof L4 and C-qp, the pq proof L-pq, C-pair and C-final, and the gap
-proof, p(n) = floor(n*phi), L-E and E-zero.  Three guards keep a proof
-from passing where its rule fails: the arrays must reach the last entry
-the range reads, as ``islice`` quietly stops at a list's end; every
-entry used as an index must be at least 1, as a list lookup wraps
-negative indices; and p and q must have one length, as a proof reads q
-where a lookup into p reached.  A failed guard, or a lookup past the
-end, is no proof.
+Fast proof, reference witness: every table identity, and prime-claim,
+first tries a proof, one pass over the arrays (C-level ``map`` and
+``islice`` where it can be) that is true only when the identity holds
+on its whole range.  A true proof is the report.  Otherwise the per-n
+reference rule runs and names the counterexamples, so every
+counterexample comes from the reference rule.  Two proofs are shared,
+each run once per `verify_all` or `fault_injected_reports` call: the
+step proof, the recursion's own facts p(1) = 1, q(n) = p(n) + n and the
+step rule of p, settles every table identity but L-E and E-zero, and
+the gap proof, p(n) = floor(n*phi), settles those two.  Two guards keep
+a proof from passing where its rule fails: the arrays must reach the
+last entry the range reads, as ``islice`` quietly stops at a list's
+end; and p and q must have one length, as ``map`` pairs them only up to
+the shorter.  A failed guard, or a lookup past the end, is no proof.
 
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
@@ -102,8 +100,9 @@ class Identity:
     (PairTable, n_max, shared), where ``shared`` holds the verdicts of
     the proofs one registry run has tried on the table so far, "game"
     checkers take a solver cap, and "prime" checkers take a prime-index
-    bound.  A checker may try a proof first and run its reference rule
-    only when the proof fails; either way it returns the same report.
+    bound.  A table or prime checker tries a proof first and runs its
+    reference rule only when the proof fails; either way it returns the
+    same report.
     ``conjecture`` marks identities that are empirically supported but
     unproven, so their failures are reported as conjecture
     counterexamples rather than engine bugs.
@@ -143,16 +142,23 @@ def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
             yield Counterexample(n, *failure)
 
 
-def _proved(proof: Callable, p, q, top: int) -> bool:
-    """Whether proof(p, q, top) shows that an identity holds on its whole range.
+def _proved(proof: Callable, p, q, n_max: int) -> bool:
+    """Whether proof(p, q, n_max) shows that identities hold on their whole ranges.
 
     A guard that sees a lookup the reference rule would fail on raises
     IndexError or ValueError, and that counts as no proof.
     """
     try:
-        return proof(p, q, top)
+        return proof(p, q, n_max)
     except (IndexError, ValueError):
         return False
+
+
+def _settled(proof: Callable, table: PairTable, n_max: int, shared: dict) -> bool:
+    """proof's verdict, kept in ``shared``: a run has one table and one n_max."""
+    if proof not in shared:
+        shared[proof] = _proved(proof, table.p, table.q, n_max)
+    return shared[proof]
 
 
 def _entries(values: list[int], top: int, offset: int = 0):
@@ -166,42 +172,24 @@ def _entries(values: list[int], top: int, offset: int = 0):
     return islice(values, 1 + offset, top + 1 + offset)
 
 
-def _steps(values: list[int], top: int, gap: int = 1):
-    """values[n + gap] - values[n] for n in [1, top]."""
-    return map(sub, _entries(values, top, gap), _entries(values, top))
+def _steps(values: list[int], top: int):
+    """values[n + 1] - values[n] for n in [1, top]."""
+    return map(sub, _entries(values, top, 1), _entries(values, top))
 
 
-def _composed(outer: list[int], inner: list[int], top: int):
-    """outer[inner[n]] for n in [1, top]; ValueError if an inner[n] is below 1.
-
-    The reference rules fail there with _OUTSIDE, where a list lookup
-    would wrap around from its end.  A lookup past the end raises
-    IndexError.
-    """
-    if min(_entries(inner, top), default=1) < 1:
-        raise ValueError("an index below 1")
-    return map(outer.__getitem__, _entries(inner, top))
-
-
-def _table_rule(
-    hi: Callable[[PairTable, int], int], rule: Callable, proof: Callable | None = None
-) -> Callable:
+def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable, proof: Callable) -> Callable:
     """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
 
-    A true ``proof(p, q, top)`` is the report, with no counterexamples.
+    A true ``proof(p, q, n_max)`` is the report, with no counterexamples.
     Otherwise the reference rule runs on every n and names them.  Proofs
-    read the arrays through the guards ``_entries``, ``_composed`` and
-    ``_offsets``.  The verdict is kept in ``shared`` under (proof, top),
-    so identities that share a proof and a range run it once per run.
+    read the arrays through the guards ``_entries`` and ``_offsets``, and
+    ``_settled`` runs each proof once per registry run.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
         top = hi(table, n_max)
-        if proof is not None:
-            if (proof, top) not in shared:
-                shared[proof, top] = _proved(proof, table.p, table.q, top)
-            if shared[proof, top]:
-                return 1, top, []
+        if _settled(proof, table, n_max, shared):
+            return 1, top, []
         return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
 
     return check
@@ -235,41 +223,40 @@ def _offsets(p: list[int], q: list[int]) -> bool:
     return len(p) == len(q) and all(map(eq, map(sub, q, p), count()))
 
 
-def _step_proof(p: list[int], q: list[int], top: int) -> bool:
-    """The recursion's own facts: p(1) = 1, q(n) = p(n) + n (``_offsets``),
-    and p(n + 1) - p(n) is 2 where n is in p[1..top] and 1 elsewhere.
+def _step_proof(p: list[int], q: list[int], n_max: int) -> bool:
+    """The recursion's own facts, which fix p on [1, n_max]: p(1) = 1,
+    q(n) = p(n) + n (``_offsets``), and p(n + 1) - p(n) is 2 where n is a
+    lower value and 1 elsewhere, for n in [1, top], top = n_max - 1.
 
-    Each identity that shares it follows by arithmetic at each n or by a
-    running sum, never through a theorem about Wythoff pairs, which would
-    pass a wrongly stated identity.  L1, L3: each step of p is 1 or 2.
-    C2, C-dq: a step of q is that of p plus 1.  L5: p rises and
-    p(top + 1) > top, so the bisect finds n exactly when n is in p[1..top].
-    C3: p(n + 1) = 1 + n + #{lower values <= n}, and bisect_right over
-    p[1..n] counts them as p(i) >= i.  ``bytes`` raises ValueError on a
-    step outside 0..255: no proof.
+    Each identity it settles follows by arithmetic, never through a
+    theorem about Wythoff pairs, which would pass a wrongly stated
+    identity.  Each m, p(n) and q(n) below is at most n_max, as the range
+    rules keep them.  (R) p(m) = m + #{k : p(k) < m}: p starts at 1 and
+    steps once more past each lower value.
+    L1, L3: p steps by 1 or 2.  C2, C-dq: q steps by that plus 1.
+    L5: p rises and p(top + 1) > top, so the bisect finds n exactly when
+    n is in p[1..top].  C3: (R) at m = n + 1, and bisect_right over
+    p[1..n] counts the lower values up to n, as p(i) >= i.
+    L4: (R) at m = p(n) gives p(p(n)) = p(n) + n - 1 = q(n) - 1.
+    C-qp: q(p(n)) = p(p(n)) + p(n) = q(n) + p(n) - 1.
+    L-pq: p(n) < q(n) is a lower value up to top, so p(p(n) + 1) = q(n) + 1
+    by L4: p(n) lower values lie below q(n), and (R) at m = q(n) gives
+    p(q(n)) = q(n) + p(n).  C-pair: q(q(n)) = p(q(n)) + q(n) = p(n) + 2q(n).
+    C-final: q(p(n)) + 1 = p(n) + q(n) = p(q(n)).
+    L2: with k0 the first index where p(k0) >= n_max, (R) gives p(n_max) =
+    n_max + k0 - 1.  Below it p skips exactly p(p(k)) + 1 = q(k), k < k0,
+    by L4, and q(k0) >= n_max + k0 with q rising by 2 or more per step.
+    C-no3p: steps of 1 at n and n + 1 <= top would make both integers
+    upper values by L2, yet q steps by 2 or more.
+    ``bytes`` raises ValueError on a step outside 0..255: no proof.
     """
+    top = n_max - 1
     marks = bytearray(top + 1)  # marks[n] is 1 where n is in p[1..top]
     for value in _entries(p, top):
         if 0 < value <= top:
             marks[value] = 1
     steps = bytes(_steps(p, top))
     return p[1] == 1 and steps == marks[1:].translate(_STEP_AFTER) and _offsets(p, q)
-
-
-def _square_proof(p: list[int], q: list[int], top: int) -> bool:
-    """``_offsets``, and L4 on [1, top]: it settles L4 and C-qp, as at each n
-    q(p(n)) = p(p(n)) + p(n) = p(n) + q(n) - 1.
-    """
-    return _offsets(p, q) and set(map(sub, _composed(p, p, top), _entries(q, top))) <= {-1}
-
-
-def _pq_proof(p: list[int], q: list[int], top: int) -> bool:
-    """``_square_proof``, and L-pq on [1, top]: it settles L-pq, C-pair and
-    C-final, as at each n q(q(n)) = p(q(n)) + q(n) = p(n) + 2q(n) and
-    q(p(n)) + 1 = p(p(n)) + p(n) + 1 = p(n) + q(n) = p(q(n)).
-    """
-    pq = map(sub, _composed(p, q, top), _entries(q, top))  # p(q(n)) - q(n)
-    return _square_proof(p, q, top) and all(map(eq, pq, _entries(p, top)))
 
 
 def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
@@ -283,14 +270,16 @@ _WIDE_GAP_RULE = _error_rule((-1, 0, 1), "e in {-1, 0, 1}")
 _NONZERO_GAP_RULE = _error_rule((0,), 0)
 
 
-def _gap_proof(p: list[int], q: list[int], top: int) -> bool:
-    """E-zero on [1, top], p(n) = floor(n*phi); it implies L-E there."""
-    return all(map(eq, _entries(p, top), map(beatty_p, range(1, top + 1))))
+def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
+    """E-zero on [1, n_max], p(n) = floor(n*phi); it implies L-E there."""
+    return all(map(eq, _entries(p, n_max), map(beatty_p, range(1, n_max + 1))))
 
 
 def _partition(table: PairTable, n_max: int, shared: dict):
     """L2: each of 1..p(n_max) lies in exactly one of p[1..n_max], q[1..n_max]."""
     top = table.p[n_max]
+    if _settled(_step_proof, table, n_max, shared):
+        return 1, top, []
 
     def violations():
         # a genuine top is below 2 * n_max; past 3 * n_max + 2 it is corrupt
@@ -391,15 +380,14 @@ _IDENTITIES = (
             None if p[n + 1] != p[n] + 1 or p[n + 2] != p[n] + 2
             else ("no three consecutive", f"{p[n]}, {p[n] + 1}, {p[n] + 2}")
         ),
-        # the rule can only fail where p(n + 2) = p(n) + 2
-        lambda p, q, top: 2 not in _steps(p, top, 2),
+        _step_proof,
     )),
     Identity("L4", "q(n) = p(p(n)) + 1", "table", _table_rule(
         lambda t, m: _index_bound(t.p, m),
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
         ),
-        _square_proof,
+        _step_proof,
     )),
     Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
         lambda t, m: m - 1, _l5_rule, _step_proof,
@@ -412,14 +400,14 @@ _IDENTITIES = (
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
             None if (want := p[n] + q[n] - 1) == (got := q[p[n]]) else (want, got)
         ),
-        _square_proof,
+        _step_proof,
     )),
     Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
             None if (want := p[n] + q[n]) == (got := p[q[n]]) else (want, got)
         ),
-        _pq_proof,
+        _step_proof,
     )),
     Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
@@ -427,14 +415,14 @@ _IDENTITIES = (
             None if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (p[q[n]], q[q[n]]))
             else (str(want), str(got))
         ),
-        _pq_proof,
+        _step_proof,
     )),
     Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _table_rule(
         lambda t, m: _index_bound(t.q, m),
         lambda n, p, q, m: _OUTSIDE if p[n] < 1 or q[n] < 1 else (
             None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
         ),
-        _pq_proof,
+        _step_proof,
     )),
     Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
         lambda t, m: m, _WIDE_GAP_RULE, _gap_proof,

@@ -45,6 +45,8 @@ ALL_IDS = (
     "game-equiv",
     "prime-claim",
 )
+TABLE_IDS = [i for i in ALL_IDS if REGISTRY[i].kind == "table"]
+PRISTINE_1000 = build_recursive(1000)
 
 
 class TestRegistry:
@@ -108,11 +110,17 @@ class TestVerifyIdentity:
         with pytest.raises(RangeError):
             verify_identity("L1", 100, table)
 
-    def test_shared_table_matches_fresh_build(self):
-        table = build_recursive(400)
-        shared = verify_identity("C3", 400, table).to_dict()
-        fresh = verify_identity("C3", 400).to_dict()
+    @pytest.mark.parametrize("shift", [0, 1], ids=["genuine", "p700-shifted"])
+    @pytest.mark.parametrize("identity_id", TABLE_IDS)
+    def test_shared_table_matches_fresh_build(self, identity_id, shift):
+        # the proofs read n_max, not the table's length: p(700) lies past
+        # n_max = 400, so shifting it leaves every report passing
+        table = PRISTINE_1000.copy()
+        table.p[700] += shift
+        shared = verify_identity(identity_id, 400, table).to_dict()
+        fresh = verify_identity(identity_id, 400).to_dict()
         assert shared == fresh
+        assert shared["passed"]
 
 
 class TestVerifyAll:
@@ -257,10 +265,6 @@ class TestFaultInjection:
         assert len(rep.counterexamples) == 10
 
 
-PRISTINE_1000 = build_recursive(1000)
-TABLE_IDS = [i for i in ALL_IDS if REGISTRY[i].kind == "table"]
-
-
 class TestTruncatedTable:
     """A table whose p or q list was shortened in place is refused up front."""
 
@@ -335,11 +339,15 @@ class TestCorruptedTable:
         assert (rep.lo, rep.hi, rep.passed) == (1, -5, True)
 
 
-STEP_IDS = ("L1", "C2", "L3", "C-dq", "L5", "C3")
+# the table ids the step proof settles: all but L-E and E-zero
+STEP_IDS = (
+    "L1", "C2", "L2", "L3", "C-dq", "C-no3p", "L4", "L5", "C3", "C-qp", "L-pq", "C-pair",
+    "C-final",
+)
 
 
 class TestSharedPasses:
-    """Shared proofs: the six step ids, L4 + C-qp, L-pq + C-pair + C-final, L-E + E-zero."""
+    """Shared proofs: the step proof settles the 13 STEP_IDS, the gap proof L-E + E-zero."""
 
     def test_one_closed_form_call_per_n(self, monkeypatch):
         calls = []
@@ -362,13 +370,12 @@ class TestSharedPasses:
 
         monkeypatch.setattr(wythoff.verify, "_proved", recording)
         assert all(r.passed for r in verify_all(2000, 60, 500))
-        assert len(proofs) == len(set(proofs)) == 6
-        assert {
+        assert len(proofs) == len(set(proofs)) == 3
+        assert set(proofs) == {
             wythoff.verify._step_proof,
-            wythoff.verify._square_proof,
-            wythoff.verify._pq_proof,
             wythoff.verify._gap_proof,
-        } <= set(proofs)
+            wythoff.verify._prime_proof,
+        }
 
     @pytest.mark.parametrize("identity_id", ["C3", "L5"])
     def test_no_bisect_on_a_genuine_table(self, monkeypatch, identity_id):
@@ -393,8 +400,8 @@ class TestSharedPasses:
     @example("shift", 500, 0)  # the genuine table, which the step proof settles
     def test_sorted_corruption_matches_the_bisect_rules(self, kind, index, amount):
         # corruptions that keep p[1..1000] non-decreasing: the step proof
-        # holds only on the genuine table, and there none of the six
-        # reference rules, the bisect rules of C3 and L5 among them, may
+        # holds only on the genuine table, and there none of the reference
+        # rules it settles, the bisect rules of C3 and L5 among them, may
         # find a counterexample
         corrupt = PRISTINE_1000.copy()
         p = corrupt.p
@@ -408,19 +415,17 @@ class TestSharedPasses:
             p[1] = -amount
         assert all(a <= b for a, b in zip(p[1:], p[2:]))
         genuine = p == PRISTINE_1000.p
-        assert wythoff.verify._proved(wythoff.verify._step_proof, p, corrupt.q, 999) is genuine
+        assert wythoff.verify._proved(wythoff.verify._step_proof, p, corrupt.q, 1000) is genuine
         if genuine:
+            settled = {i: REGISTRY[i].check(corrupt, 1000, {}) for i in STEP_IDS}
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(wythoff.verify, "_proved", lambda *args: False)
                 for identity_id in STEP_IDS:
                     check = REGISTRY[identity_id].check
-                    assert check(corrupt, 1000, {}) == (1, 999, []), identity_id
+                    assert check(corrupt, 1000, {}) == settled[identity_id], identity_id
 
 
-PROVED_IDS = (
-    "L1", "C2", "L3", "C-dq", "C-no3p", "L4", "L5", "C3", "C-qp", "L-pq", "C-pair", "C-final",
-    "L-E", "E-zero", "prime-claim",
-)
+PROVED_IDS = (*STEP_IDS, "L-E", "E-zero", "prime-claim")
 COMPOSITION_IDS = ("L4", "C-qp", "L-pq", "C-pair", "C-final")
 
 # small, large and huge deltas; a delta of minus the list length makes a
@@ -495,11 +500,12 @@ class TestProofs:
     @example([(618, -1)], None)
     @example([(382, 1)], None)  # the last n of the q-range, q(382) = 1000
     @example([(382, -1)], None)
+    @example([(1000, 1)], None)  # only the last step, p(1000) - p(999), sees it
     @example([(1000, 1)], ("q", 999))  # C-qp reads q(p(618)) = q(999), cut off
     def test_paired_shifts_leave_the_compositions_nothing(self, shifts, truncate):
         # p(k) and q(k) shifted together keep q(k) - p(k) = k, which every
-        # single-entry corruption breaks, so here only L4, L-pq and the
-        # guards can refuse the table
+        # single-entry corruption breaks, so here only p(1) = 1, the step
+        # rule and the length guard of the step proof can refuse the table
         corrupt = PRISTINE_1000.copy()
         for index, delta in shifts:
             corrupt.p[index] += delta
@@ -543,11 +549,11 @@ class TestProofs:
     def test_count_proof_refuses_an_unsorted_table(self, identity_id):
         # p(1) past the range followed by p(n + 1) = n + 1, with q = p + n so
         # that the q fact holds and only p(1) != 1 and the negative first
-        # step can refuse the table; each of the six reference rules fails
+        # step can refuse the table; each reference rule it settles fails
         unsorted = PRISTINE_1000.copy()
         unsorted.p[:] = [0, 1000, *range(2, 1001)]
         unsorted.q[:] = [0, *(unsorted.p[n] + n for n in range(1, 1001))]
-        assert not wythoff.verify._proved(wythoff.verify._step_proof, unsorted.p, unsorted.q, 999)
+        assert not wythoff.verify._proved(wythoff.verify._step_proof, unsorted.p, unsorted.q, 1000)
         assert not verify_identity(identity_id, 1000, unsorted).passed
 
     @pytest.mark.parametrize("identity_id", ["C2", "C-dq"])
@@ -559,16 +565,18 @@ class TestProofs:
 
     def test_step_proof_needs_p1_equal_to_1(self):
         # the step rule started at p(1) = 2 gives 2, 3, 5, 7, 8, ...; C3's
-        # running sum is off by one while the other five identities hold
+        # running sum is off by one, and so are the identities built on it,
+        # while _offsets and the step rule hold
         p, lower = [0, 2], {2}
         for n in range(1, 1000):
             p.append(p[n] + (2 if n in lower else 1))
             lower.add(p[-1])
         anchored = PairTable(1000, p, [0, *(p[n] + n for n in range(1, 1001))])
         assert p[1:6] == [2, 3, 5, 7, 8]
-        assert not wythoff.verify._proved(wythoff.verify._step_proof, p, anchored.q, 999)
-        reports = {i: verify_identity(i, 1000, anchored) for i in STEP_IDS}
-        assert [i for i in STEP_IDS if not reports[i].passed] == ["C3"]
+        assert not wythoff.verify._proved(wythoff.verify._step_proof, p, anchored.q, 1000)
+        reports = {i: verify_identity(i, 1000, anchored) for i in TABLE_IDS}
+        failing = [i for i in TABLE_IDS if not reports[i].passed]
+        assert failing == ["L2", "L4", "C3", "C-qp", "C-final", "E-zero"]
         assert reports["C3"].counterexamples[0].to_dict() == {"n": 1, "expected": 2, "actual": 3}
 
     def test_forced_fallback_gives_the_same_reports(self, monkeypatch):
@@ -589,6 +597,7 @@ class TestProofs:
             raise AssertionError(f"{identity_id} ran its reference rule")
 
         monkeypatch.setattr(wythoff.verify, "_scan", refuse)
+        monkeypatch.setattr(wythoff.verify, "chain", refuse)  # L2's own loop
         monkeypatch.setattr(wythoff.verify, "check_prime_claim", refuse)
         n_max = 500 if identity_id == "prime-claim" else 1000
         table = None if identity_id == "prime-claim" else PRISTINE_1000
