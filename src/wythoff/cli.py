@@ -81,6 +81,23 @@ def _writable_dir(ctx, param, out):
     return out
 
 
+class _Pile(click.IntRange):
+    """A pile size: an integer >= 0 of at most 4,300 digits, CPython's
+    default limit on converting a string to an int.
+
+    click's own refusal of a longer value would echo all of it, so that is
+    refused by its length alone, in one short line.
+    """
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and len(value) > 4300:
+            message = f"a {len(value):,}-character value exceeds the 4,300-digit limit"
+            self.fail(message, param, ctx)
+        return super().convert(value, param, ctx)
+
+
+_PILE = _Pile(min=0)
+
 _OUT = click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
@@ -265,8 +282,8 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
 
 
 @main.command()
-@click.argument("a", type=click.IntRange(min=0))
-@click.argument("b", type=click.IntRange(min=0))
+@click.argument("a", type=_PILE)
+@click.argument("b", type=_PILE)
 @click.option(
     "--oracle",
     type=click.Choice(["closed", "brute"]),
@@ -297,8 +314,8 @@ def classify(a, b, oracle, game_cap):
 
 
 @main.command(name="best-move")
-@click.argument("a", type=click.IntRange(min=0))
-@click.argument("b", type=click.IntRange(min=0))
+@click.argument("a", type=_PILE)
+@click.argument("b", type=_PILE)
 def best_move_cmd(a, b):
     """Print one winning move from A B, or exit 1 if the position is losing.
 

@@ -17,7 +17,11 @@ counterexample comes from the reference rule.  Two proofs are shared,
 each run once per `verify_all` or `fault_injected_reports` call: the
 step proof, the recursion's own facts p(1) = 1, q(n) = p(n) + n and the
 step rule of p, settles every table identity but L-E and E-zero, and
-the gap proof, p(n) = floor(n*phi), settles those two.  Two guards keep
+the gap proof, p(n) = floor(n*phi), settles those two.  The gap proof
+calls no closed form per n: with s = floor(phi * 2**k), s < phi * 2**k
+< s + 1, so floor(n*phi) lies between floor(n*s / 2**k) and
+floor(n*(s + 1) / 2**k), and a p(n) equal to both is floor(n*phi).  Two
+C-level streams of running sums give the bounds.  Two guards keep
 a proof from passing where its rule fails: the arrays must reach the
 last entry the range reads, as ``islice`` quietly stops at a list's
 end; and p and q must have one length, as ``map`` pairs them only up to
@@ -29,6 +33,11 @@ outside the table becomes a counterexample.
 A corrupted table therefore yields failed reports, never an exception;
 `fault_injected_reports` turns that into a self-test of the suite itself.
 
+`verify_all` runs the game and prime identities in one forked child
+while the parent builds the table and settles the table identities, so
+on two cores the table chain alone is the critical path.
+`verify_identity` and `fault_injected_reports` stay in one process.
+
 Registry identifiers are short stable codes (L1, C2, ..., game-equiv,
 prime-claim) used verbatim by the command-line interface; descriptions
 carry the human-readable statement.
@@ -36,11 +45,14 @@ carry the human-readable statement.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import eq, sub
+from itertools import accumulate, chain, count, islice, repeat
+from math import isqrt
+from operator import eq, rshift, sub
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -271,8 +283,26 @@ _NONZERO_GAP_RULE = _error_rule((0,), 0)
 
 
 def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
-    """E-zero on [1, n_max], p(n) = floor(n*phi); it implies L-E there."""
-    return all(map(eq, _entries(p, n_max), map(beatty_p, range(1, n_max + 1))))
+    """E-zero on [1, n_max], p(n) = floor(n*phi); it implies L-E there.
+
+    With k = n_max.bit_length() + 64, s = floor(phi * 2**k) is
+    (2**k + isqrt(5 * 4**k)) // 2, since halving commutes with the floor
+    of sqrt(5) * 2**k.  phi is irrational, so s < phi * 2**k < s + 1, and
+    for n >= 1, n*s / 2**k < n*phi < n*(s + 1) / 2**k: floor(n*phi) lies
+    between floor(n*s / 2**k) and floor(n*(s + 1) / 2**k).  A p(n) equal
+    to both is floor(n*phi), with no theorem about phi's expansion.  Two
+    C-level streams give the bounds, the running sums n*t shifted right by
+    k for t = s and s + 1.  The bounds differ only where n*phi lies within
+    n / 2**k of an integer; a p(n) can then match at most one of them, so
+    the proof is refused and the reference rules, through beatty_p,
+    decide.
+    """
+    k = n_max.bit_length() + 64
+    s = ((1 << k) + isqrt(5 << 2 * k)) // 2
+    return all(
+        all(map(eq, _entries(p, n_max), map(rshift, accumulate(repeat(t, n_max)), repeat(k))))
+        for t in (s, s + 1)
+    )
 
 
 def _partition(table: PairTable, n_max: int, shared: dict):
@@ -479,33 +509,65 @@ def _verify(
     return VerificationReport(identity_id, lo, hi, not ces, tuple(ces), elapsed)
 
 
-def verify_all(
-    n_max: int, game_cap: int, prime_n_max: int
-) -> list[VerificationReport]:
-    """Run the whole registry; engine errors become failed reports.
+@contextmanager
+def _in_child(work: Callable[[], list]):
+    """Start work() in a forked child; yield a function returning its result.
 
-    Table identities share one table built at n_max and the proofs over
-    it, and a failed build fails each of them with that one error; the
-    table is released before the "game" identities run at game_cap and
-    the "prime" identities at prime_n_max.  The result list always covers
-    the registry in order, never aborting early.
+    The child sends work()'s result, or the exception it raised, back
+    through a pipe as a pickle, and always leaves through ``os._exit``, so
+    it never unwinds into its caller's frames or flushes their buffers a
+    second time.  The parent closes its end of the pipe before it reaps
+    the child, so a parent that fails first never waits on a child
+    blocked on a full pipe.  Where ``os.fork`` is missing, work() runs
+    inline when its result is asked for.
     """
-    if n_max < 1 or game_cap < 1 or prime_n_max < 1:
-        raise RangeError("all range arguments must be >= 1")
-    table: PairTable | None = None
-    build_error: WythoffError | None = None
+    if not hasattr(os, "fork"):
+        yield work
+        return
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, work())
+            except BaseException as exc:  # raised again in the parent
+                outcome = (False, exc)
+            data = pickle.dumps(outcome)  # all or nothing reaches the pipe
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
     try:
-        table = build_recursive(n_max)
-    except WythoffError as exc:
-        build_error = exc
-    bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
+        with open(read_fd, "rb") as pipe:
+
+            def result():
+                try:
+                    done, value = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError("the forked child ended without a result") from None
+                if not done:
+                    raise value
+                return value
+
+            yield result
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _reports(
+    idents: Iterable[Identity], bounds: dict, table: PairTable | None = None,
+    build_error: WythoffError | None = None,
+) -> list[VerificationReport]:
+    """One report per identity, sharing proofs; an engine error fails its report."""
     shared: dict = {}
     reports = []
-    for ident in REGISTRY.values():
-        if ident.kind != "table":
-            table = None  # the game and prime engines run without it resident
+    for ident in idents:
         try:
-            if ident.kind == "table" and build_error is not None:
+            if build_error is not None:
                 raise build_error
             reports.append(_verify(ident.identity_id, bounds[ident.kind], table, shared))
         except WythoffError as exc:
@@ -514,6 +576,41 @@ def verify_all(
                 VerificationReport(ident.identity_id, 1, 0, False, (failure,), 0.0)
             )
     return reports
+
+
+def verify_all(
+    n_max: int, game_cap: int, prime_n_max: int
+) -> list[VerificationReport]:
+    """Run the whole registry; engine errors become failed reports.
+
+    It forks once, before the build, so the table is never resident
+    beside the solver or the sieve: the child runs the "game" identities
+    at game_cap and the "prime" identities at prime_n_max, and only
+    package code, ``pickle`` and ``os`` run there, while the parent builds
+    one table at n_max and runs the table identities on it and the proofs
+    over it.  A failed build fails each table identity with that one
+    error.  Where ``os.fork`` is missing, the game and prime identities
+    run inline after the table is released.  The result list always
+    covers the registry in order, never aborting early; an error that is
+    not a ``WythoffError``, in either process, is raised here.
+    """
+    if n_max < 1 or game_cap < 1 or prime_n_max < 1:
+        raise RangeError("all range arguments must be >= 1")
+    bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
+    engines = [ident for ident in REGISTRY.values() if ident.kind != "table"]
+    with _in_child(lambda: _reports(engines, bounds)) as engine_reports:
+        table: PairTable | None = None
+        build_error: WythoffError | None = None
+        try:
+            table = build_recursive(n_max)
+        except WythoffError as exc:
+            build_error = exc
+        tables = [ident for ident in REGISTRY.values() if ident.kind == "table"]
+        reports = _reports(tables, bounds, table, build_error)
+        table = None  # the inline game and prime engines run without it resident
+        reports += engine_reports()
+    by_id = {report.identity_id: report for report in reports}
+    return [by_id[identity_id] for identity_id in IDENTITY_IDS]
 
 
 def fault_injected_reports(

@@ -114,6 +114,24 @@ MUTANTS = (
         "",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table",),
     ),
+    # the gap proof's streams one entry short: map stops at the shorter, so
+    # p(n_max) goes unchecked
+    (
+        VERIFY,
+        "accumulate(repeat(t, n_max))",
+        "accumulate(repeat(t, n_max - 1))",
+        (PROOFS + "test_forced_fallback_gives_the_same_reports",),
+    ),
+    # the gap proof's scale: s is then no floor(phi * 2**k), and a genuine
+    # table is refused.  Not listed: dropping the s + 1 stream is an
+    # equivalent mutant below 2**31, as frac(n*phi) stays far above
+    # n / 2**k there, so floor(n*s / 2**k) is floor(n*phi) on every n.
+    (
+        VERIFY,
+        "isqrt(5 << 2 * k)",
+        "isqrt(5 << k)",
+        (PROOFS + "test_no_reference_scan_on_a_genuine_table[L-E]",),
+    ),
     # the prime proof's guards: a short prime list, and a composite index
     # below 0 that would wrap onto the last entry
     (

@@ -182,6 +182,19 @@ class TestClassify:
             == runner.invoke(main, ["classify", "8", "13"]).stdout
         )
 
+    @pytest.mark.parametrize("command", ["classify", "best-move"])
+    def test_over_long_pile_refused_in_one_short_line(self, runner, command):
+        # 5,000 digits, past CPython's 4,300: the value itself is not echoed
+        r = runner.invoke(main, [command, "1" * 5000, "3"])
+        assert r.exit_code == 2
+        assert "a 5,000-character value exceeds the 4,300-digit limit" in r.stderr
+        assert len(r.stderr) < 300
+        # a short non-integer keeps click's own message, and 4,300 digits are read
+        r = runner.invoke(main, [command, "abc", "3"])
+        assert r.exit_code == 2
+        assert "'abc' is not a valid integer range" in r.stderr
+        assert runner.invoke(main, [command, "1" * 4300, "3"]).exit_code == 0
+
 
 class TestBestMove:
     def test_take_both(self, runner):

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import signal
 import weakref
 
 import pytest
@@ -15,10 +17,12 @@ import wythoff.verify
 from test_snapshot import FLIP_SETS
 from wythoff import (
     IDENTITY_IDS,
+    Counterexample,
     PairTable,
     REGISTRY,
     RangeError,
     UnknownIdentityError,
+    VerificationReport,
     build_recursive,
     fault_injected_reports,
     report_text,
@@ -173,18 +177,20 @@ class TestVerifyAll:
             else:
                 assert rep.passed
 
-    def test_failed_table_build_is_not_repeated(self, monkeypatch):
-        # one build for the table identities, one for game-equiv's own table
-        calls = []
+    def test_failed_table_build_is_not_repeated(self, monkeypatch, tmp_path):
+        # one build for the table identities, one for game-equiv's own table;
+        # the two run in different processes, so each appends to one file
+        calls = tmp_path / "calls"
 
         def counting_build(n_max):
-            calls.append(n_max)
+            with open(calls, "a") as log:
+                log.write(f"{n_max}\n")
             return build_recursive(n_max)
 
         monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
         monkeypatch.setattr(wythoff.verify, "build_recursive", counting_build)
         reports = verify_all(101, 30, 10)
-        assert calls == [101, 17]
+        assert sorted(map(int, calls.read_text().split())) == [17, 101]
         for rep in reports:
             if REGISTRY[rep.identity_id].kind == "table":
                 assert [ce.to_dict() for ce in rep.counterexamples] == [{
@@ -193,33 +199,102 @@ class TestVerifyAll:
                     "actual": "CapacityError: n_max 101 exceeds the table bound 100",
                 }]
 
-    def test_table_released_before_game_and_prime(self, monkeypatch):
-        # the pair table must not stay resident next to the solver's table
+    def test_table_released_before_game_and_prime(self, monkeypatch, tmp_path):
+        # the pair table must not be resident next to the solver's table: the
+        # solver runs where the n_max table was released or never built, and
+        # it may run in another process, so it reports through a file
         class Watched(PairTable):
             __slots__ = ("__weakref__",)
 
         refs = []
-        released = []
+        released = tmp_path / "released"
 
         def watched_build(n_max):
             t = build_recursive(n_max)
             watched = Watched(t.n_max, t.p, t.q)
-            refs.append(weakref.ref(watched))
+            if n_max == 500:
+                refs.append(weakref.ref(watched))
             return watched
 
         def checking_solve(cap):
             gc.collect()
-            released.append(refs[0]() is None)
+            with open(released, "a") as log:
+                log.write(f"{all(ref() is None for ref in refs)}\n")
             return wythoff.game.solve_retrograde(cap)
 
         monkeypatch.setattr(wythoff.verify, "build_recursive", watched_build)
         monkeypatch.setattr(wythoff.verify, "solve_retrograde", checking_solve)
         assert all(r.passed for r in verify_all(500, 30, 20))
-        assert released == [True]
+        assert len(refs) == 1  # the table identities had their table
+        assert released.read_text().split() == ["True"]
 
     def test_passed_iff_no_counterexamples(self):
         for rep in verify_all(100, 30, 20) + fault_injected_reports(100):
             assert rep.passed == (len(rep.counterexamples) == 0)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify_all runs inline without os.fork")
+class TestForkedEngines:
+    """verify_all runs the game and prime identities in one forked child."""
+
+    def test_child_error_is_raised_in_the_parent(self, monkeypatch):
+        def failing_sieve(limit):
+            raise RuntimeError(f"sieve to {limit} failed")
+
+        monkeypatch.setattr(wythoff.verify, "build_prime_gap", failing_sieve)
+        with pytest.raises(RuntimeError, match="sieve to .* failed"):
+            verify_all(100, 30, 20)
+        _no_child_left()
+
+    def test_child_ending_without_a_result_is_an_error(self, monkeypatch):
+        # as a child killed by a signal would: nothing reaches the pipe
+        monkeypatch.setattr(wythoff.verify, "solve_retrograde", lambda cap: os._exit(1))
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            verify_all(100, 30, 20)
+        _no_child_left()
+
+    def test_failing_parent_does_not_wait_on_a_full_pipe(self, monkeypatch):
+        # the child's reports outgrow a 64 KiB pipe while the parent fails in
+        # its build; the parent must close the pipe before it reaps the child
+        parent = os.getpid()
+        huge = Counterexample(0, "x" * (1 << 17), "y")
+
+        def failing_build(n_max):
+            if os.getpid() == parent:
+                raise RuntimeError("build failed")
+            return build_recursive(n_max)
+
+        def huge_report(identity_id, *args):
+            return VerificationReport(identity_id, 1, 0, False, (huge,), 0.0)
+
+        def timed_out(signum, frame):
+            raise AssertionError("verify_all did not return within 20 s")
+
+        monkeypatch.setattr(wythoff.verify, "build_recursive", failing_build)
+        monkeypatch.setattr(wythoff.verify, "_verify", huge_report)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError, match="build failed"):
+                verify_all(100, 30, 20)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "args", [(2_000, 60, 500), (10, 10, 10**7)], ids=["passing", "sieve-ceiling"]
+    )
+    def test_inline_run_gives_the_same_reports(self, monkeypatch, args):
+        forked = [r.to_dict() for r in verify_all(*args)]
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert [r.to_dict() for r in verify_all(*args)] == forked
 
 
 class TestFaultInjection:
@@ -349,32 +424,40 @@ STEP_IDS = (
 class TestSharedPasses:
     """Shared proofs: the step proof settles the 13 STEP_IDS, the gap proof L-E + E-zero."""
 
-    def test_one_closed_form_call_per_n(self, monkeypatch):
-        calls = []
+    def test_one_closed_form_call_per_n(self, monkeypatch, tmp_path):
+        # the gap proof brackets floor(n*phi) by two fixed-point streams, so
+        # on a genuine table no process calls beatty_p at all; only the
+        # reference rules of L-E and E-zero would
+        calls = tmp_path / "calls"
 
         def counting_beatty_p(n):
-            calls.append(n)
+            with open(calls, "a") as log:
+                log.write(f"{n}\n")
             return wythoff.sequences.beatty_p(n)
 
         monkeypatch.setattr(wythoff.verify, "beatty_p", counting_beatty_p)
         assert all(r.passed for r in verify_all(3000, 30, 20))
-        assert sorted(calls) == list(range(1, 3001))
+        assert not calls.exists()
 
-    def test_each_proof_runs_once_per_registry_run(self, monkeypatch):
+    def test_each_proof_runs_once_per_registry_run(self, monkeypatch, tmp_path):
+        # the prime proof runs in the forked child, so each process appends
+        # the names of its proofs to one file
         proved = wythoff.verify._proved
-        proofs = []
+        proofs = tmp_path / "proofs"
 
         def recording(proof, *args):
-            proofs.append(proof)
+            with open(proofs, "a") as log:
+                log.write(f"{proof.__name__}\n")
             return proved(proof, *args)
 
         monkeypatch.setattr(wythoff.verify, "_proved", recording)
         assert all(r.passed for r in verify_all(2000, 60, 500))
-        assert len(proofs) == len(set(proofs)) == 3
-        assert set(proofs) == {
-            wythoff.verify._step_proof,
-            wythoff.verify._gap_proof,
-            wythoff.verify._prime_proof,
+        names = proofs.read_text().split()
+        assert len(names) == len(set(names)) == 3
+        assert set(names) == {
+            wythoff.verify._step_proof.__name__,
+            wythoff.verify._gap_proof.__name__,
+            wythoff.verify._prime_proof.__name__,
         }
 
     @pytest.mark.parametrize("identity_id", ["C3", "L5"])
