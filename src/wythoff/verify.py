@@ -8,10 +8,10 @@ shared scan walks every such range.  Only the partition identity L2,
 which walks values rather than indices, keeps its own loop.  Every
 identity caps its counterexamples through the same helper.
 
-Fast proof, reference witness: every table identity, and prime-claim,
-first tries a proof, one pass over the arrays (C-level ``map`` and
-``islice`` where it can be) that is true only when the identity holds
-on its whole range.  A true proof is the report.  Otherwise the per-n
+Fast proof, reference witness: every table identity first tries a
+proof, one pass over the arrays (C-level ``map`` and ``islice`` where
+it can be) that is true only when the identity holds on its whole
+range.  A true proof is the report.  Otherwise the per-n
 reference rule runs and names the counterexamples, so every
 counterexample comes from the reference rule.  Two proofs are shared,
 each run once per `verify_all` or `fault_injected_reports` call: the
@@ -59,7 +59,7 @@ from typing import Callable, Iterable
 from .errors import RangeError, UnknownIdentityError, WythoffError
 from .game import solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
-from .sequences import PairTable, beatty_p, build_recursive
+from .sequences import PairTable, beatty_p, build_recursive, lower_values
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -112,9 +112,9 @@ class Identity:
     (PairTable, n_max, shared), where ``shared`` holds the verdicts of
     the proofs one registry run has tried on the table so far, "game"
     checkers take a solver cap, and "prime" checkers take a prime-index
-    bound.  A table or prime checker tries a proof first and runs its
-    reference rule only when the proof fails; either way it returns the
-    same report.
+    bound.  A table checker tries a proof first and runs its reference
+    rule only when the proof fails; either way it returns the same
+    report.
     ``conjecture`` marks identities that are empirically supported but
     unproven, so their failures are reported as conjecture
     counterexamples rather than engine bugs.
@@ -329,11 +329,8 @@ def _partition(table: PairTable, n_max: int, shared: dict):
 
 
 def _game_equivalence(cap: int):
-    table = build_recursive(cap // 2 + 2)
-    expected = {(0, 0)}
-    for n in range(1, table.n_max + 1):
-        if table.q[n] <= cap:
-            expected.add((table.p[n], table.q[n]))
+    pairs = ((p, p + n) for n, p in enumerate(lower_values(cap // 2 + 2), 1))
+    expected = {(0, 0), *(pair for pair in pairs if pair[1] <= cap)}
     solved = solve_retrograde(cap)
     actual = {(st.a, st.b) for st in solved.losing_states}
     ces = chain(
@@ -349,28 +346,8 @@ def _game_equivalence(cap: int):
     return 0, cap, _capped(ces)
 
 
-def _prime_proof(primes, composites, top: int) -> bool:
-    """composite(prime(n) - n - 1) == prime(n) - 1 for n in [3, top].
-
-    The arrays are 0-indexed, so prime(n) is primes[n - 1] and the
-    composite sits at composites[primes[n - 1] - n - 2].  An index past
-    the end raises IndexError; a negative one would wrap, so it is
-    refused first.
-    """
-    if len(primes) < top:
-        raise IndexError(f"no prime {top}")
-    if min(map(sub, islice(primes, 2, top), count(5)), default=0) < 0:
-        raise ValueError("a composite index below 1")
-    found = map(composites.__getitem__, map(sub, islice(primes, 2, top), count(5)))
-    return set(map(sub, found, islice(primes, 2, top))) <= {-1}
-
-
 def _prime_gap_claim(prime_n_max: int):
-    if prime_n_max < 3:
-        return 3, prime_n_max, []
     table = build_prime_gap(sieve_limit_for(prime_n_max))
-    if _proved(_prime_proof, table.primes, table.composites, prime_n_max):
-        return 3, prime_n_max, []
     evidence = (check_prime_claim(table, n) for n in range(3, prime_n_max + 1))
     ces = (
         Counterexample(ev.n, ev.p_n - 1, ev.q_at_index)
@@ -480,13 +457,6 @@ def verify_identity(
     ``p`` and ``q`` lists must cover at least n_max entries.  Every
     counterexample comes from the identity's reference rule.
     """
-    return _verify(identity_id, n_max, table, {})
-
-
-def _verify(
-    identity_id: str, n_max: int, table: PairTable | None, shared: dict
-) -> VerificationReport:
-    """verify_identity, with the proof verdicts found so far in this run."""
     ident = REGISTRY.get(identity_id)
     if ident is None:
         raise UnknownIdentityError(
@@ -494,19 +464,29 @@ def _verify(
         )
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
+    return _report(ident, n_max, table, {})
+
+
+def _report(
+    ident: Identity, bound: int, table: PairTable | None, shared: dict
+) -> VerificationReport:
+    """ident's report at bound, with the proof verdicts found so far in this run.
+
+    A table identity given no table builds one, and ``elapsed`` counts the build.
+    """
     start = perf_counter()
     if ident.kind == "table":
         if table is None:
-            table = build_recursive(n_max)
+            table = build_recursive(bound)
         # the lists, not only n_max: either may have been shortened in place
         covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
-        if covers < n_max:
-            raise RangeError(f"supplied table covers {covers} entries, need {n_max}")
-        lo, hi, ces = ident.check(table, n_max, shared)
+        if covers < bound:
+            raise RangeError(f"supplied table covers {covers} entries, need {bound}")
+        lo, hi, ces = ident.check(table, bound, shared)
     else:
-        lo, hi, ces = ident.check(n_max)
+        lo, hi, ces = ident.check(bound)
     elapsed = perf_counter() - start
-    return VerificationReport(identity_id, lo, hi, not ces, tuple(ces), elapsed)
+    return VerificationReport(ident.identity_id, lo, hi, not ces, tuple(ces), elapsed)
 
 
 @contextmanager
@@ -558,23 +538,23 @@ def _in_child(work: Callable[[], list]):
         os.waitpid(pid, 0)
 
 
+def _failed(ident: Identity, exc: WythoffError) -> VerificationReport:
+    """ident's report when an engine raised exc: one counterexample naming it."""
+    failure = Counterexample(0, "no error", f"{type(exc).__name__}: {exc}")
+    return VerificationReport(ident.identity_id, 1, 0, False, (failure,), 0.0)
+
+
 def _reports(
-    idents: Iterable[Identity], bounds: dict, table: PairTable | None = None,
-    build_error: WythoffError | None = None,
+    idents: Iterable[Identity], bounds: dict, table: PairTable | None = None
 ) -> list[VerificationReport]:
     """One report per identity, sharing proofs; an engine error fails its report."""
     shared: dict = {}
     reports = []
     for ident in idents:
         try:
-            if build_error is not None:
-                raise build_error
-            reports.append(_verify(ident.identity_id, bounds[ident.kind], table, shared))
+            reports.append(_report(ident, bounds[ident.kind], table, shared))
         except WythoffError as exc:
-            failure = Counterexample(0, "no error", f"{type(exc).__name__}: {exc}")
-            reports.append(
-                VerificationReport(ident.identity_id, 1, 0, False, (failure,), 0.0)
-            )
+            reports.append(_failed(ident, exc))
     return reports
 
 
@@ -590,27 +570,25 @@ def verify_all(
     one table at n_max and runs the table identities on it and the proofs
     over it.  A failed build fails each table identity with that one
     error.  Where ``os.fork`` is missing, the game and prime identities
-    run inline after the table is released.  The result list always
-    covers the registry in order, never aborting early; an error that is
-    not a ``WythoffError``, in either process, is raised here.
+    run inline after the table is released.  The registry lists every
+    table identity first, so the table reports followed by the others
+    cover it in order, never aborting early; an error that is not a
+    ``WythoffError``, in either process, is raised here.
     """
     if n_max < 1 or game_cap < 1 or prime_n_max < 1:
         raise RangeError("all range arguments must be >= 1")
     bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
-    engines = [ident for ident in REGISTRY.values() if ident.kind != "table"]
+    tables = [ident for ident in _IDENTITIES if ident.kind == "table"]
+    engines = [ident for ident in _IDENTITIES if ident.kind != "table"]
     with _in_child(lambda: _reports(engines, bounds)) as engine_reports:
-        table: PairTable | None = None
-        build_error: WythoffError | None = None
         try:
             table = build_recursive(n_max)
         except WythoffError as exc:
-            build_error = exc
-        tables = [ident for ident in REGISTRY.values() if ident.kind == "table"]
-        reports = _reports(tables, bounds, table, build_error)
+            reports = [_failed(ident, exc) for ident in tables]
+        else:
+            reports = _reports(tables, bounds, table)
         table = None  # the inline game and prime engines run without it resident
-        reports += engine_reports()
-    by_id = {report.identity_id: report for report in reports}
-    return [by_id[identity_id] for identity_id in IDENTITY_IDS]
+        return reports + engine_reports()
 
 
 def fault_injected_reports(
@@ -628,12 +606,8 @@ def fault_injected_reports(
         raise RangeError(f"index {index} outside [1, {n_max}]")
     corrupt = build_recursive(n_max)
     corrupt.p[index] += delta
-    shared: dict = {}
-    return [
-        _verify(ident.identity_id, n_max, corrupt, shared)
-        for ident in REGISTRY.values()
-        if ident.kind == "table"
-    ]
+    tables = (ident for ident in _IDENTITIES if ident.kind == "table")
+    return _reports(tables, {"table": n_max}, corrupt)
 
 
 def report_text(report: VerificationReport) -> str:

@@ -132,21 +132,6 @@ MUTANTS = (
         "isqrt(5 << k)",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table[L-E]",),
     ),
-    # the prime proof's guards: a short prime list, and a composite index
-    # below 0 that would wrap onto the last entry
-    (
-        VERIFY,
-        '    if len(primes) < top:\n        raise IndexError(f"no prime {top}")\n',
-        "",
-        (PROOFS + "test_prime_proof_refuses_a_corrupted_table",),
-    ),
-    (
-        VERIFY,
-        '    if min(map(sub, islice(primes, 2, top), count(5)), default=0) < 0:\n'
-        '        raise ValueError("a composite index below 1")\n',
-        "",
-        (PROOFS + "test_prime_proof_refuses_a_corrupted_table",),
-    ),
 )
 
 

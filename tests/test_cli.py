@@ -87,6 +87,19 @@ class TestGen:
         assert r.exit_code == 2
 
 
+VERIFY_BOUNDS = (
+    "--n-max", "2000", "--game-cap", "60", "--prime-n-max", "500", "--format", "json",
+)
+
+
+@pytest.fixture(scope="module")
+def all_rows():
+    """verify --all at VERIFY_BOUNDS, its json rows keyed by identity."""
+    r = CliRunner().invoke(main, ["verify", "--all", *VERIFY_BOUNDS])
+    assert r.exit_code == 0
+    return {row["identity"]: row for row in json.loads(r.stdout)["rows"]}
+
+
 class TestVerify:
     def test_single_identity(self, runner):
         r = runner.invoke(main, ["verify", "--identity", "L4", "--n-max", "1000"])
@@ -134,6 +147,13 @@ class TestVerify:
         r = runner.invoke(main, ["verify", "--identity", "L1"])
         assert r.exit_code == 1
         assert "FAILED" in r.stdout
+
+    @pytest.mark.parametrize("identity_id", list(wythoff.REGISTRY))
+    def test_identity_row_matches_the_all_row(self, runner, all_rows, identity_id):
+        r = runner.invoke(main, ["verify", "--identity", identity_id, *VERIFY_BOUNDS])
+        assert r.exit_code == 0
+        (row,) = json.loads(r.stdout)["rows"]
+        assert row == all_rows[identity_id]
 
     def test_game_identity_uses_game_cap(self, runner):
         r = runner.invoke(

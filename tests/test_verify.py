@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wythoff.game
-import wythoff.primes
 import wythoff.sequences
 import wythoff.verify
 from test_snapshot import FLIP_SETS
@@ -153,6 +152,7 @@ class TestVerifyAll:
         # a prime bound needing a sieve past the capacity limit must
         # surface as a failed report, not an exception
         reports = verify_all(10, 10, 10**7)
+        assert [r.identity_id for r in reports] == list(ALL_IDS)
         by_id = {r.identity_id: r for r in reports}
         assert not by_id["prime-claim"].passed
         assert "CapacityError" in str(by_id["prime-claim"].counterexamples[0].actual)
@@ -178,8 +178,8 @@ class TestVerifyAll:
                 assert rep.passed
 
     def test_failed_table_build_is_not_repeated(self, monkeypatch, tmp_path):
-        # one build for the table identities, one for game-equiv's own table;
-        # the two run in different processes, so each appends to one file
+        # one build for the table identities; game-equiv reads the recursion
+        # stream and builds no table, in whichever process it runs
         calls = tmp_path / "calls"
 
         def counting_build(n_max):
@@ -190,7 +190,8 @@ class TestVerifyAll:
         monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
         monkeypatch.setattr(wythoff.verify, "build_recursive", counting_build)
         reports = verify_all(101, 30, 10)
-        assert sorted(map(int, calls.read_text().split())) == [17, 101]
+        assert sorted(map(int, calls.read_text().split())) == [101]
+        assert [r.identity_id for r in reports] == list(ALL_IDS)
         for rep in reports:
             if REGISTRY[rep.identity_id].kind == "table":
                 assert [ce.to_dict() for ce in rep.counterexamples] == [{
@@ -233,6 +234,30 @@ class TestVerifyAll:
             assert rep.passed == (len(rep.counterexamples) == 0)
 
 
+class TestOneReportPath:
+    """verify_identity, verify_all and fault_injected_reports agree report for report."""
+
+    def test_verify_identity_matches_verify_all(self):
+        bounds = {"table": 2_000, "game": 60, "prime": 500}
+        reports = verify_all(2_000, 60, 500)
+        assert [r.identity_id for r in reports] == list(ALL_IDS)
+        for report in reports:
+            bound = bounds[REGISTRY[report.identity_id].kind]
+            assert verify_identity(report.identity_id, bound).to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize(
+        "index,delta", [(1, 1), (17, -1), (500, 1), (618, -2), (999, 7), (1000, 10**20)]
+    )
+    def test_shared_proofs_never_change_a_verdict(self, index, delta):
+        # fault_injected_reports shares one proof memo across the table
+        # identities; verify_identity starts each of them afresh
+        corrupt = build_recursive(1000)
+        corrupt.p[index] += delta
+        alone = [verify_identity(i, 1000, corrupt).to_dict() for i in TABLE_IDS]
+        assert not all(report["passed"] for report in alone)
+        assert [r.to_dict() for r in fault_injected_reports(1000, index, delta)] == alone
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -269,14 +294,14 @@ class TestForkedEngines:
                 raise RuntimeError("build failed")
             return build_recursive(n_max)
 
-        def huge_report(identity_id, *args):
-            return VerificationReport(identity_id, 1, 0, False, (huge,), 0.0)
+        def huge_report(ident, *args):
+            return VerificationReport(ident.identity_id, 1, 0, False, (huge,), 0.0)
 
         def timed_out(signum, frame):
             raise AssertionError("verify_all did not return within 20 s")
 
         monkeypatch.setattr(wythoff.verify, "build_recursive", failing_build)
-        monkeypatch.setattr(wythoff.verify, "_verify", huge_report)
+        monkeypatch.setattr(wythoff.verify, "_report", huge_report)
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(20)
         try:
@@ -440,8 +465,8 @@ class TestSharedPasses:
         assert not calls.exists()
 
     def test_each_proof_runs_once_per_registry_run(self, monkeypatch, tmp_path):
-        # the prime proof runs in the forked child, so each process appends
-        # the names of its proofs to one file
+        # the engines may run in the forked child, where a proof recorded in
+        # memory would go unseen, so each process appends its proofs to one file
         proved = wythoff.verify._proved
         proofs = tmp_path / "proofs"
 
@@ -453,11 +478,10 @@ class TestSharedPasses:
         monkeypatch.setattr(wythoff.verify, "_proved", recording)
         assert all(r.passed for r in verify_all(2000, 60, 500))
         names = proofs.read_text().split()
-        assert len(names) == len(set(names)) == 3
+        assert len(names) == len(set(names)) == 2
         assert set(names) == {
             wythoff.verify._step_proof.__name__,
             wythoff.verify._gap_proof.__name__,
-            wythoff.verify._prime_proof.__name__,
         }
 
     @pytest.mark.parametrize("identity_id", ["C3", "L5"])
@@ -508,7 +532,7 @@ class TestSharedPasses:
                     assert check(corrupt, 1000, {}) == settled[identity_id], identity_id
 
 
-PROVED_IDS = (*STEP_IDS, "L-E", "E-zero", "prime-claim")
+PROVED_IDS = (*STEP_IDS, "L-E", "E-zero")
 COMPOSITION_IDS = ("L4", "C-qp", "L-pq", "C-pair", "C-final")
 
 # small, large and huge deltas; a delta of minus the list length makes a
@@ -548,7 +572,7 @@ class TestProofs:
             array, length = truncate
             del getattr(corrupt, array)[length:]
         proved = wythoff.verify._proved
-        for identity_id in PROVED_IDS[:-1]:
+        for identity_id in PROVED_IDS:
             check = REGISTRY[identity_id].check
             verdicts = []
 
@@ -610,24 +634,6 @@ class TestProofs:
                     mp.setattr(wythoff.verify, "_proved", lambda *args: False)
                     assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
 
-    def test_prime_proof_refuses_a_corrupted_table(self):
-        proof = wythoff.verify._prime_proof
-        genuine = wythoff.primes.build_prime_gap(wythoff.primes.sieve_limit_for(500))
-        assert wythoff.verify._proved(proof, genuine.primes, genuine.composites, 500)
-        for edits in (
-            [("composites", 40, 0)],
-            [("primes", 99, 0)],
-            [("primes", 3, 10**9)],  # a composite index past the end
-            # prime(3) = 4 reads composite(0), which would wrap onto a last entry of 3
-            [("primes", 2, 4), ("composites", -1, 3)],
-        ):
-            corrupt = wythoff.primes.build_prime_gap(wythoff.primes.sieve_limit_for(500))
-            for array, index, value in edits:
-                getattr(corrupt, array)[index] = value
-            assert not wythoff.verify._proved(proof, corrupt.primes, corrupt.composites, 500)
-        short = genuine.primes[:499]
-        assert not wythoff.verify._proved(proof, short, genuine.composites, 500)
-
     @pytest.mark.parametrize("identity_id", STEP_IDS)
     def test_count_proof_refuses_an_unsorted_table(self, identity_id):
         # p(1) past the range followed by p(n + 1) = n + 1, with q = p + n so
@@ -681,10 +687,7 @@ class TestProofs:
 
         monkeypatch.setattr(wythoff.verify, "_scan", refuse)
         monkeypatch.setattr(wythoff.verify, "chain", refuse)  # L2's own loop
-        monkeypatch.setattr(wythoff.verify, "check_prime_claim", refuse)
-        n_max = 500 if identity_id == "prime-claim" else 1000
-        table = None if identity_id == "prime-claim" else PRISTINE_1000
-        assert verify_identity(identity_id, n_max, table).passed
+        assert verify_identity(identity_id, 1000, PRISTINE_1000).passed
 
 
 class TestReportOutput:
