@@ -15,10 +15,8 @@ runs in constant memory.  ``--format table`` buffers its rows to
 measure column widths, and ``primes`` builds its rows first so an
 undersized sieve fails before any output.  Every command checks what
 can fail before it opens stdout or ``--out``, so a failing command
-writes nothing.  The one exception is the recursion's in-loop
-consistency checks (index bound, occupancy collision), which a correct
-recursion never trips; if one did, it would raise after rows were
-written, and the command would still exit 3.
+writes nothing.  Only an I/O error while writing can leave partial
+output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an ``--out`` directory that is

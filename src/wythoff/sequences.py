@@ -166,15 +166,16 @@ def lower_values(n_max: int) -> Iterator[int]:
 
     The only state is a cursor at the smallest integer not yet assigned
     to either sequence and one occupancy mark per integer, preallocated
-    at 3*n_max + 2 cells (~3 bytes per pair), which the step bound
-    p(n+1) - p(n) <= 2 guarantees is enough.  Only upper values are
+    at 3*n_max + 4 cells (~3 bytes per pair).  Only upper values are
     marked: the cursor only moves up and every later q(n) = cursor + n
-    lies above it, so nothing would read a mark on a lower value.  An
-    n_max below 1 or above the table ceiling raises on the call, before
-    anything is allocated; exceeding the cells or marking an integer
-    twice, which a correct recursion never does, raises
-    :class:`CapacityError` while iterating.  q(n) is p(n) + n, so a
-    consumer needs nothing else.
+    lies above it, so nothing would read a mark on a lower value.  The
+    cells suffice by the recursion's own steps.  The cursor rises
+    strictly, so q(n) = cursor + n rises by at least 2 per step, and no
+    cell is marked twice.  The marks are at least 2 apart, so the cursor
+    skips at most one mark per step: p(n) <= 2n - 1 and q(n) <= 3n - 1.
+    An n_max below 1 or above the table ceiling raises on the call,
+    before anything is allocated.  q(n) is p(n) + n, so a consumer needs
+    nothing else.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
@@ -182,16 +183,10 @@ def lower_values(n_max: int) -> Iterator[int]:
         raise CapacityError(f"n_max {n_max} exceeds the table bound {_TABLE_CAP}")
 
     def mex() -> Iterator[int]:
-        cap = 3 * n_max + 2
-        used = bytearray(cap + 2)
+        used = bytearray(3 * n_max + 4)
         cursor = 1
         for n in range(1, n_max + 1):
-            qn = cursor + n
-            if qn > cap:
-                raise CapacityError(f"q({n}) = {qn} exceeds the index bound {cap}")
-            if used[qn]:
-                raise CapacityError(f"occupancy collision at {qn}; table corrupt")
-            used[qn] = 1
+            used[cursor + n] = 1
             yield cursor
             cursor += 1
             while used[cursor]:

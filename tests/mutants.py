@@ -8,11 +8,15 @@ them must fail.  Before that it checks once that all the named nodes pass
 on an unmutated copy.  A surviving mutant, an old text that no longer
 matches exactly once, or a node that errors instead of failing exits 1.
 
-The entries guard the registry's proofs and their guards: a proof that
-passes where its reference rule would fail hides a counterexample, and a
-later change that weakens one of the killing tests shows here.  A change
-that adds a proof or a guard adds its mutants.  A mutant that survives is
-fixed in the tests, not deleted from the list.
+The entries cover the whole package: the registry's proofs and their
+guards (a proof that passes where its reference rule would fail hides a
+counterexample), the engine identities, the integer kernel and its memo,
+the recursion, the game engines, the sieve and the command line.  A later
+change that weakens one of the killing tests shows here.  A change that
+adds a proof, a guard or a branch adds its mutants.  A mutant that
+survives is fixed in the tests, not deleted from the list; a mutant no
+test can kill, because it is equivalent or only a non-root run reaches
+it, is named in a comment with the reason.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -34,8 +38,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = "src/wythoff/verify.py"
+SEQUENCES = "src/wythoff/sequences.py"
+GAME = "src/wythoff/game.py"
+PRIMES = "src/wythoff/primes.py"
+CLI = "src/wythoff/cli.py"
 TESTS = "tests/test_verify.py::"
 PROOFS = TESTS + "TestProofs::"
+ENGINES = TESTS + "TestEngineCounterexamples::"
+SEQUENCE_TESTS = "tests/test_sequences.py::"
+GAME_TESTS = "tests/test_game.py::"
+PRIME_TESTS = "tests/test_primes.py::"
+CLI_TESTS = "tests/test_cli.py::"
 
 MUTANTS = (
     # the step proof's anchor: without it the step rule started at p(1) = 2 passes
@@ -131,6 +144,121 @@ MUTANTS = (
         "isqrt(5 << 2 * k)",
         "isqrt(5 << k)",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table[L-E]",),
+    ),
+    # the engine identities gone vacuous: each must name a planted fault
+    (
+        VERIFY,
+        "    return 0, cap, _capped(ces)\n",
+        "    return 0, cap, []\n",
+        (ENGINES + "test_game_equiv_names_each_difference",),
+    ),
+    (
+        VERIFY,
+        "    return 3, prime_n_max, _capped(ces)\n",
+        "    return 3, prime_n_max, []\n",
+        (ENGINES + "test_prime_claim_names_a_wrong_composite",),
+    ),
+    # the kernel's memo keeps the lower bracket, not the decided answer
+    (
+        SEQUENCES,
+        "_last = n, floor\n",
+        "_last = n, prod >> k\n",
+        (SEQUENCE_TESTS + "TestLastAnswerMemo::test_repeated_consecutive_fibonacci_n",),
+    ),
+    # the bracket trusted where it cannot decide, as at Fibonacci n
+    (
+        SEQUENCES,
+        "    if floor != (prod + n) >> k:\n",
+        "    if False:\n",
+        (SEQUENCE_TESTS + "TestClosedForm::test_fibonacci_n_match_the_bracket",),
+    ),
+    # the cached precision no longer doubles
+    (
+        SEQUENCES,
+        "top = max(k, 2 * top)",
+        "top = k",
+        (SEQUENCE_TESTS + "TestClosedForm::test_precision_grows_by_doubling",),
+    ),
+    # the recursion marks the wrong cell.  Not listed: its while skip as an
+    # if is an equivalent mutant, as lower_values' docstring shows the
+    # cursor skips at most one mark per step; the while stays so the
+    # recursion never leans on a theorem about its own output.
+    (
+        SEQUENCES,
+        "used[cursor + n] = 1",
+        "used[cursor + n + 1] = 1",
+        (SEQUENCE_TESTS + "TestBuildRecursive::test_first_ten_pairs",),
+    ),
+    # the solver ignores the difference line
+    (
+        GAME,
+        "if diag[d] > a and partner[b] > a and partner[a] > b:",
+        "if partner[b] > a and partner[a] > b:",
+        (GAME_TESTS + "TestRetrogradeSolver::test_matches_naive_solver",),
+    ),
+    # the solver's take-from-B witness aims one short.  Not listed: deleting
+    # classify's take-from-A branch is an equivalent mutant, as best_move's
+    # docstring shows take-from-both always wins before take-from-A.
+    (
+        GAME,
+        "move = Move(MoveKind.TAKE_B, b - partner[a])",
+        "move = Move(MoveKind.TAKE_B, b - partner[a] - 1)",
+        (GAME_TESTS + "TestRetrogradeSolver::test_witnesses_reach_losing_states",),
+    ),
+    # the partner search counts the lower values up to v - 1, not v
+    (
+        GAME,
+        "i = beatty_p(v + 1) - (v + 1)",
+        "i = beatty_p(v) - v",
+        (GAME_TESTS + "TestPairPartner::test_matches_recursion",),
+    ),
+    # 1 counted as a composite
+    (
+        PRIMES,
+        "is_composite[0] = is_composite[1] = 0",
+        "is_composite[0] = 0",
+        (PRIME_TESTS + "TestBuildPrimeGap::test_limit_ten",),
+    ),
+    # the sieve stops below isqrt(limit), so 9 stays prime at limit 10.
+    # Not listed, as equivalent: sieve_limit_for without its + 1, since the
+    # bound is strict and its ceiling already lies above p_n; and a floor
+    # of 11 for counts below 6, since 11 already holds the first five primes.
+    (
+        PRIMES,
+        "for i in range(2, isqrt(limit) + 1):",
+        "for i in range(2, isqrt(limit)):",
+        (PRIME_TESTS + "TestBuildPrimeGap::test_limit_ten",),
+    ),
+    # a pile of 4,301 digits reaches click's int(), which echoes all of it
+    (
+        CLI,
+        "len(value) > 4300",
+        "len(value) > 4301",
+        (CLI_TESTS + "TestClassify::test_over_long_pile_refused_in_one_short_line",),
+    ),
+    # a capacity limit exits 2, not 3
+    (
+        CLI,
+        "sys.exit(3 if isinstance(exc, CapacityError) else 2)",
+        "sys.exit(2)",
+        (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
+    ),
+    # a closed stdout exits 1, not 141
+    (
+        CLI,
+        "sys.exit(141)",
+        "sys.exit(1)",
+        (CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",),
+    ),
+    # --out is no longer checked before the work.  Not listed: dropping
+    # os.access(folder, os.W_OK) from _writable_dir, which only a non-root
+    # run of TestOutputFailures::test_read_only_out_directory_exits_two_before_any_work
+    # kills, since root may write to any directory and the test skips there.
+    (
+        CLI,
+        "    if out is not None:\n        folder",
+        "    if False:\n        folder",
+        (CLI_TESTS + "TestOutputFailures::test_missing_out_directory_exits_two_before_any_work",),
     ),
 )
 

@@ -214,6 +214,11 @@ class TestClassify:
         assert r.exit_code == 2
         assert "'abc' is not a valid integer range" in r.stderr
         assert runner.invoke(main, [command, "1" * 4300, "3"]).exit_code == 0
+        # 4,301 digits, the first length refused, are not echoed either
+        r = runner.invoke(main, [command, "1" * 4301, "3"])
+        assert r.exit_code == 2
+        assert "a 4,301-character value exceeds the 4,300-digit limit" in r.stderr
+        assert len(r.stderr) < 300
 
 
 class TestBestMove:
@@ -451,6 +456,19 @@ class TestOutputFailures:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.output
         assert not target.parent.exists()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="root may write to any directory",
+    )
+    def test_read_only_out_directory_exits_two_before_any_work(self, runner, tmp_path):
+        folder = tmp_path / "read-only"
+        folder.mkdir(mode=0o500)
+        target = folder / "rows.csv"
+        r = runner.invoke(main, ["gen", "--format", "csv", "--out", str(target)])
+        assert r.exit_code == 2
+        assert r.stderr == f"error: --out {target}: {folder} is not a writable directory\n"
+        assert not target.exists()
 
     def test_closed_pipe_exits_141_quietly(self):
         src = str(Path(wythoff.__file__).resolve().parents[1])

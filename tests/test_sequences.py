@@ -251,6 +251,14 @@ class TestLastAnswerMemo:
             assert bracketed(m, beatty_p(m)), m
         assert calls == [5 * fib * fib] * 3
 
+    def test_repeated_consecutive_fibonacci_n(self):
+        # n*phi lies just below an integer at one of these and just above it
+        # at the other, so the lower bracket is the answer at only one: a
+        # memo must keep the decided answer, not the bracket
+        *_, before, last = fibonacci(10**100)
+        for n in (before, before, last, last):
+            assert bracketed(n, beatty_p(n)), n
+
     def test_a_hit_does_no_product(self, monkeypatch):
         n = random.Random(17).randrange(10**999, 10**1000)
         expected = beatty_p(n)

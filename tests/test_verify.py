@@ -17,11 +17,14 @@ from test_snapshot import FLIP_SETS
 from wythoff import (
     IDENTITY_IDS,
     Counterexample,
+    GameState,
     PairTable,
     REGISTRY,
     RangeError,
+    RetrogradeTable,
     UnknownIdentityError,
     VerificationReport,
+    build_prime_gap,
     build_recursive,
     fault_injected_reports,
     report_text,
@@ -320,6 +323,85 @@ class TestForkedEngines:
         _no_child_left()
         monkeypatch.delattr(os, "fork")
         assert [r.to_dict() for r in verify_all(*args)] == forked
+
+
+def _solved_with(cap, dropped, added):
+    """solve_retrograde(cap) with the losing states in dropped removed and added appended."""
+    solved = wythoff.game.solve_retrograde(cap)
+    losing = [st for st in solved.losing_states if (st.a, st.b) not in dropped]
+    losing += [GameState(a, b) for a, b in added]
+    return RetrogradeTable(cap, losing, solved._partner, solved._diag)
+
+
+def _engine_report(identity_id, bound, through):
+    """identity_id's report dict at bound, from verify_identity or from verify_all."""
+    if through == "verify_identity":
+        return verify_identity(identity_id, bound).to_dict()
+    bounds = {"game": 30, "prime": 20, REGISTRY[identity_id].kind: bound}
+    reports = verify_all(10, bounds["game"], bounds["prime"])
+    return next(r.to_dict() for r in reports if r.identity_id == identity_id)
+
+
+@pytest.mark.parametrize("through", ["verify_identity", "verify_all"])
+class TestEngineCounterexamples:
+    """game-equiv and prime-claim name a planted fault, inline and from verify_all.
+
+    verify_all runs them in its forked child, which inherits the patch, so
+    the failing reports there also cross the pickle back to the parent.
+    """
+
+    def test_game_equiv_names_each_difference(self, monkeypatch, through):
+        def solver(cap):
+            return _solved_with(cap, {(3, 5)}, [(4, 4)])
+
+        monkeypatch.setattr(wythoff.verify, "solve_retrograde", solver)
+        assert _engine_report("game-equiv", 30, through) == {
+            "identity": "game-equiv",
+            "lo": 0,
+            "hi": 30,
+            "passed": False,
+            "counterexamples": [
+                {"n": 4, "expected": "not losing", "actual": "solver: (4, 4) losing"},
+                {"n": 3, "expected": "(3, 5) losing", "actual": "solver: not losing"},
+            ],
+        }
+
+    def test_game_equiv_caps_its_counterexamples(self, monkeypatch, through):
+        # twelve differences: the six extra losing states come first, then
+        # the missing ones, cut after ten
+        dropped = {(1, 2), (3, 5), (4, 7), (6, 10), (8, 13), (9, 15)}
+        added = [(k, k) for k in range(1, 7)]
+
+        def solver(cap):
+            return _solved_with(cap, dropped, added)
+
+        monkeypatch.setattr(wythoff.verify, "solve_retrograde", solver)
+        extra = [
+            {"n": k, "expected": "not losing", "actual": f"solver: ({k}, {k}) losing"}
+            for k in range(1, 7)
+        ]
+        missing = [
+            {"n": a, "expected": f"({a}, {b}) losing", "actual": "solver: not losing"}
+            for a, b in [(1, 2), (3, 5), (4, 7), (6, 10)]
+        ]
+        report = _engine_report("game-equiv", 30, through)
+        assert report["counterexamples"] == extra + missing
+        assert not report["passed"]
+
+    def test_prime_claim_names_a_wrong_composite(self, monkeypatch, through):
+        def sieve(limit):
+            table = build_prime_gap(limit)
+            table.composites[1] = 5  # the 2nd composite, 6, is read only at n = 4
+            return table
+
+        monkeypatch.setattr(wythoff.verify, "build_prime_gap", sieve)
+        assert _engine_report("prime-claim", 20, through) == {
+            "identity": "prime-claim",
+            "lo": 3,
+            "hi": 20,
+            "passed": False,
+            "counterexamples": [{"n": 4, "expected": 6, "actual": 5}],
+        }
 
 
 class TestFaultInjection:
