@@ -19,10 +19,10 @@ writes nothing.  Only an I/O error while writing can leave partial
 output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
-is losing, 2 argument and I/O errors (an ``--out`` directory that is
-missing or not writable is refused before any work), 3 capacity limits
-(brute-force cap, sieve, table and solver ceilings), 141 stdout closed
-by its reader, as a shell reports a writer killed by SIGPIPE.
+is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
+directory is missing or not writable, is refused before any work), 3
+capacity limits (brute-force cap, sieve, table and solver ceilings), 141
+stdout closed by its reader, as a shell reports a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -69,9 +69,12 @@ class _EngineErrors(click.Group):
 def _writable_dir(ctx, param, out):
     """Refuse an --out whose directory cannot take the file, before any work.
 
-    click.Path checks only a file that already exists.  The file itself is
-    still opened where the command writes (see _output).
+    click.Path checks only a file that already exists, and takes an empty
+    path, whose folder would read as ".".  The file itself is still opened
+    where the command writes (see _output).
     """
+    if out == "":
+        raise OSError("--out: the path is empty")
     if out is not None:
         folder = os.path.dirname(out) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

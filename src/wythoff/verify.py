@@ -21,11 +21,9 @@ the gap proof, p(n) = floor(n*phi), settles those two.  The gap proof
 calls no closed form per n: with s = floor(phi * 2**k), s < phi * 2**k
 < s + 1, so floor(n*phi) lies between floor(n*s / 2**k) and
 floor(n*(s + 1) / 2**k), and a p(n) equal to both is floor(n*phi).  Two
-C-level streams of running sums give the bounds.  Two guards keep
-a proof from passing where its rule fails: the arrays must reach the
-last entry the range reads, as ``islice`` quietly stops at a list's
-end; and p and q must have one length, as ``map`` pairs them only up to
-the shorter.  A failed guard, or a lookup past the end, is no proof.
+C-level streams of running sums give the bounds.  Every table check
+first requires p and q to cover n_max, as ``islice`` and ``map`` quietly
+stop at a list's end, so no proof or range rule reads a short table.
 
 The rules read only the public sequence arrays, so a corrupted table
 entry is always visible to them, and a lookup the corruption sends
@@ -157,52 +155,43 @@ def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
 def _proved(proof: Callable, p, q, n_max: int) -> bool:
     """Whether proof(p, q, n_max) shows that identities hold on their whole ranges.
 
-    A guard that sees a lookup the reference rule would fail on raises
-    IndexError or ValueError, and that counts as no proof.
+    A proof that raises ValueError, as ``bytes`` does on a step outside
+    0..255, gives no proof.
     """
     try:
         return proof(p, q, n_max)
-    except (IndexError, ValueError):
+    except ValueError:
         return False
 
 
 def _settled(proof: Callable, table: PairTable, n_max: int, shared: dict) -> bool:
-    """proof's verdict, kept in ``shared``: a run has one table and one n_max."""
+    """proof's verdict, kept in ``shared``: a run has one table and one n_max.
+
+    Every table check calls this before it reads the table, so it first
+    refuses a table whose lists, either of which may have been shortened
+    in place, end before n_max.
+    """
+    covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
+    if covers < n_max:
+        raise RangeError(f"supplied table covers {covers} entries, need {n_max}")
     if proof not in shared:
         shared[proof] = _proved(proof, table.p, table.q, n_max)
     return shared[proof]
-
-
-def _entries(values: list[int], top: int, offset: int = 0):
-    """values[n + offset] for n in [1, top]; IndexError if the list ends before.
-
-    islice would quietly stop at the end of a truncated list, where the
-    reference rule fails with _OUTSIDE.
-    """
-    if len(values) <= top + offset:
-        raise IndexError(f"no entry {top + offset}")
-    return islice(values, 1 + offset, top + 1 + offset)
-
-
-def _steps(values: list[int], top: int):
-    """values[n + 1] - values[n] for n in [1, top]."""
-    return map(sub, _entries(values, top, 1), _entries(values, top))
 
 
 def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable, proof: Callable) -> Callable:
     """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
 
     A true ``proof(p, q, n_max)`` is the report, with no counterexamples.
-    Otherwise the reference rule runs on every n and names them.  Proofs
-    read the arrays through the guards ``_entries`` and ``_offsets``, and
-    ``_settled`` runs each proof once per registry run.
+    Otherwise the reference rule runs on every n and names them.
+    ``_settled`` checks the table's coverage before ``hi`` reads it, and
+    runs each proof once per registry run.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
+        settled = _settled(proof, table, n_max, shared)
         top = hi(table, n_max)
-        if _settled(proof, table, n_max, shared):
-            return 1, top, []
-        return 1, top, _capped(_scan(rule, top, table.p, table.q, n_max))
+        return 1, top, [] if settled else _capped(_scan(rule, top, table.p, table.q, n_max))
 
     return check
 
@@ -231,8 +220,8 @@ _STEP_AFTER = bytes.maketrans(b"\0\1", b"\1\2")
 
 
 def _offsets(p: list[int], q: list[int]) -> bool:
-    """q(m) - p(m) = m at every index m, in two lists of one length."""
-    return len(p) == len(q) and all(map(eq, map(sub, q, p), count()))
+    """q(m) - p(m) = m at every index both lists hold; ``_settled`` makes that [0, n_max]."""
+    return all(map(eq, map(sub, q, p), count()))
 
 
 def _step_proof(p: list[int], q: list[int], n_max: int) -> bool:
@@ -261,13 +250,15 @@ def _step_proof(p: list[int], q: list[int], n_max: int) -> bool:
     C-no3p: steps of 1 at n and n + 1 <= top would make both integers
     upper values by L2, yet q steps by 2 or more.
     ``bytes`` raises ValueError on a step outside 0..255: no proof.
+    ``_settled`` has checked that p and q cover n_max, so each ``islice``
+    below reads every entry it names.
     """
     top = n_max - 1
     marks = bytearray(top + 1)  # marks[n] is 1 where n is in p[1..top]
-    for value in _entries(p, top):
+    for value in islice(p, 1, top + 1):
         if 0 < value <= top:
             marks[value] = 1
-    steps = bytes(_steps(p, top))
+    steps = bytes(map(sub, islice(p, 2, top + 2), islice(p, 1, top + 1)))
     return p[1] == 1 and steps == marks[1:].translate(_STEP_AFTER) and _offsets(p, q)
 
 
@@ -300,15 +291,16 @@ def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
     k = n_max.bit_length() + 64
     s = ((1 << k) + isqrt(5 << 2 * k)) // 2
     return all(
-        all(map(eq, _entries(p, n_max), map(rshift, accumulate(repeat(t, n_max)), repeat(k))))
+        all(map(eq, islice(p, 1, n_max + 1), map(rshift, accumulate(repeat(t, n_max)), repeat(k))))
         for t in (s, s + 1)
     )
 
 
 def _partition(table: PairTable, n_max: int, shared: dict):
     """L2: each of 1..p(n_max) lies in exactly one of p[1..n_max], q[1..n_max]."""
+    settled = _settled(_step_proof, table, n_max, shared)
     top = table.p[n_max]
-    if _settled(_step_proof, table, n_max, shared):
+    if settled:
         return 1, top, []
 
     def violations():
@@ -478,10 +470,6 @@ def _report(
     if ident.kind == "table":
         if table is None:
             table = build_recursive(bound)
-        # the lists, not only n_max: either may have been shortened in place
-        covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
-        if covers < bound:
-            raise RangeError(f"supplied table covers {covers} entries, need {bound}")
         lo, hi, ces = ident.check(table, bound, shared)
     else:
         lo, hi, ces = ident.check(bound)

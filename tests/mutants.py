@@ -8,9 +8,9 @@ them must fail.  Before that it checks once that all the named nodes pass
 on an unmutated copy.  A surviving mutant, an old text that no longer
 matches exactly once, or a node that errors instead of failing exits 1.
 
-The entries cover the whole package: the registry's proofs and their
-guards (a proof that passes where its reference rule would fail hides a
-counterexample), the engine identities, the integer kernel and its memo,
+The entries cover the whole package: the registry's proofs and the
+coverage check ahead of them (a proof that passes where its reference
+rule would fail hides a counterexample), the engine identities, the integer kernel and its memo,
 the recursion, the game engines, the sieve and the command line.  A later
 change that weakens one of the killing tests shows here.  A change that
 adds a proof, a guard or a branch adds its mutants.  A mutant that
@@ -68,18 +68,16 @@ MUTANTS = (
             PROOFS + "test_a_true_proof_leaves_the_reference_nothing",
         ),
     ),
-    # _offsets' length guard: map stops at the shorter of p and q
+    # the coverage check: islice and map quietly stop at a short list's end,
+    # so a proof passes where the reference rule reads outside the table
     (
         VERIFY,
-        "return len(p) == len(q) and all(",
-        "return len(p) == len(q) or all(",
-        (PROOFS + "test_a_true_proof_leaves_the_reference_nothing",),
-    ),
-    (
-        VERIFY,
-        "return len(p) == len(q) and all(",
-        "return all(",
-        (PROOFS + "test_a_true_proof_leaves_the_reference_nothing",),
+        "    if covers < n_max:\n",
+        "    if False:\n",
+        (
+            TESTS + "TestTruncatedTable",
+            PROOFS + "test_a_true_proof_leaves_the_reference_nothing",
+        ),
     ),
     # the marks miss top itself, so a genuine table is refused.  Not listed:
     # marking from p[1..top - 1] only is an equivalent mutant, as p(k) >= k
@@ -94,8 +92,8 @@ MUTANTS = (
     # one step short: the proof never holds, so the reference rules run
     (
         VERIFY,
-        "steps = bytes(_steps(p, top))",
-        "steps = bytes(_steps(p, top - 1))",
+        "islice(p, 2, top + 2)",
+        "islice(p, 2, top + 1)",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table",),
     ),
     # the last step, p(n_max) - p(n_max - 1), unchecked: only a paired p/q
@@ -105,13 +103,6 @@ MUTANTS = (
         "return p[1] == 1 and steps == marks[1:].translate(_STEP_AFTER)",
         "return p[1] == 1 and steps[:-1] == marks[1:-1].translate(_STEP_AFTER)",
         (PROOFS + "test_paired_shifts_leave_the_compositions_nothing",),
-    ),
-    # _entries' guard: islice quietly stops at the end of a truncated list
-    (
-        VERIFY,
-        '    if len(values) <= top + offset:\n        raise IndexError(f"no entry {top + offset}")\n',
-        "",
-        (PROOFS + "test_a_true_proof_leaves_the_reference_nothing",),
     ),
     # a memo that settles every identity unseen
     (
@@ -123,7 +114,7 @@ MUTANTS = (
     # L2 off the proof path: its own loop runs on a genuine table
     (
         VERIFY,
-        "    if _settled(_step_proof, table, n_max, shared):\n        return 1, top, []\n",
+        "    if settled:\n        return 1, top, []\n",
         "",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table",),
     ),
@@ -243,12 +234,32 @@ MUTANTS = (
         "sys.exit(2)",
         (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
     ),
+    # a failing prime claim prints Python's False, or exits 0
+    (
+        CLI,
+        'return "false"',
+        'return "False"',
+        (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
+    ),
+    (
+        CLI,
+        "    if holding != len(rows):\n        sys.exit(1)\n",
+        "",
+        (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
+    ),
     # a closed stdout exits 1, not 141
     (
         CLI,
         "sys.exit(141)",
         "sys.exit(1)",
         (CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",),
+    ),
+    # an empty --out passes as the folder "."
+    (
+        CLI,
+        '    if out == "":\n',
+        "    if False:\n",
+        (CLI_TESTS + "TestOutputFailures::test_empty_out_exits_two_before_any_work",),
     ),
     # --out is no longer checked before the work.  Not listed: dropping
     # os.access(folder, os.W_OK) from _writable_dir, which only a non-root

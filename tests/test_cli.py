@@ -16,7 +16,7 @@ import wythoff
 import wythoff.cli
 import wythoff.game
 import wythoff.sequences
-from wythoff import Counterexample, VerificationReport, build_recursive
+from wythoff import Counterexample, VerificationReport, build_prime_gap, build_recursive
 from wythoff.cli import _write_json, main
 
 
@@ -305,6 +305,27 @@ class TestPrimes:
         assert isinstance(row["p_n"], int)
         assert row["holds"] is True
 
+    def test_failing_claim_exits_one(self, runner, monkeypatch):
+        def sieve(limit):
+            table = build_prime_gap(limit)
+            table.composites[1] = 5  # the 2nd composite, 6, is read only at n = 4
+            return table
+
+        monkeypatch.setattr(wythoff.cli, "build_prime_gap", sieve)
+        args = ["primes", "--n-max", "4", "--sieve-limit", "100", "--format"]
+        r = runner.invoke(main, [*args, "csv"])
+        assert r.exit_code == 1
+        assert r.stdout == "n,p_n,index,q_at_index,holds\n3,5,1,4,true\n4,7,2,5,false\n"
+        assert r.stderr == "claim holds for 1 of 2 indices\n"
+        r = runner.invoke(main, [*args, "table"])
+        assert r.exit_code == 1
+        assert r.stdout.splitlines() == [
+            "n  p_n  index  q_at_index  holds",
+            "3    5      1           4   true",
+            "4    7      2           5  false",
+            "claim holds for 1 of 2 indices",
+        ]
+
 
 class TestCeilings:
     """Table and solver ceilings exit 3 and leave no --out file behind.
@@ -456,6 +477,21 @@ class TestOutputFailures:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.output
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["gen"], ["verify", "--all"], ["error-term"], ["primes"]],
+    )
+    def test_empty_out_exits_two_before_any_work(self, runner, monkeypatch, args):
+        def refuse(*_):
+            raise AssertionError("verify_all ran before --out was checked")
+
+        monkeypatch.setattr(wythoff.cli, "verify_all", refuse)
+        r = runner.invoke(main, [*args, "--format", "csv", "--out", ""])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr == "error: --out: the path is empty\n"
+        assert r.stdout == ""
 
     @pytest.mark.skipif(
         not hasattr(os, "geteuid") or os.geteuid() == 0,

@@ -457,6 +457,8 @@ class TestTruncatedTable:
         del getattr(short, array)[1000:]  # one entry short of n_max
         with pytest.raises(RangeError):
             verify_identity(identity_id, 1000, short)
+        with pytest.raises(RangeError):
+            REGISTRY[identity_id].check(short, 1000, {})
 
 
 class TestCorruptedTable:
@@ -694,7 +696,7 @@ class TestProofs:
     def test_paired_shifts_leave_the_compositions_nothing(self, shifts, truncate):
         # p(k) and q(k) shifted together keep q(k) - p(k) = k, which every
         # single-entry corruption breaks, so here only p(1) = 1, the step
-        # rule and the length guard of the step proof can refuse the table
+        # rule and the coverage check ahead of the step proof can refuse the table
         corrupt = PRISTINE_1000.copy()
         for index, delta in shifts:
             corrupt.p[index] += delta
