@@ -6,17 +6,17 @@ prime analogue.  Machine formats (csv, json) are bit-stable: fixed
 field order, integers only, no timings; summaries and diagnostics go to
 stderr so the data stream stays parseable.
 
-The machine formats stream: rows go from their producer to the writer
-one at a time.  ``gen --method recursive``/``both`` and ``error-term``
-stream the mex recursion itself, never a pair table, so they hold only
-its occupancy marks, ~3 bytes per pair (19.9 MiB peak RSS for a 10^6-row
-csv, where a pair table would take 96.3 MiB), and ``gen --method beatty``
-runs in constant memory.  ``--format table`` buffers its rows to
-measure column widths, and ``primes`` builds its rows first so an
-undersized sieve fails before any output.  Every command checks what
-can fail before it opens stdout or ``--out``, so a failing command
-writes nothing.  Only an I/O error while writing can leave partial
-output.
+Every format streams: rows go from their producer to the writer one at
+a time.  ``gen --method recursive``/``both`` and ``error-term`` stream
+the mex recursion itself, never a pair table, so they hold only its
+occupancy marks, ~3 bytes per pair (19.9 MiB peak RSS for a 10^6-row
+csv, where a pair table would take 96.3 MiB), and ``gen --method
+beatty`` runs in constant memory.  ``--format table`` runs its producer
+twice, once to measure the column widths and once to write, and
+``primes`` builds its rows first so an undersized sieve fails before any
+output.  Every command checks what can fail before it opens stdout or
+``--out``, so a failing command writes nothing.  Only an I/O error while
+writing can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
@@ -32,7 +32,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import click
 
@@ -107,24 +107,9 @@ _OUT = click.option(
 )
 
 
-def _token(value) -> str:
-    """A table cell, or a csv bool: true / false rather than Python's True."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
-def _write_table(stream, headers, rows) -> None:
-    cells = [[_token(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    stream.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
-    for row in cells:
-        stream.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+def _token(flag: bool) -> str:
+    """A csv or table bool: true / false, where %s would print Python's True."""
+    return "true" if flag else "false"
 
 
 def _write_csv(stream, headers, rows) -> None:
@@ -157,14 +142,31 @@ def _output(out):
     return open(out, "w", encoding="utf-8", newline="")
 
 
-def _emit(stream, fmt, command, arguments, headers, rows) -> None:
-    """Write rows, consumed once and in order, to the stream in the chosen format."""
+def _emit(out, fmt, command, arguments, headers, rows, summary=None) -> None:
+    """Write the row tuples of the producer rows() to --out or stdout, then summary().
+
+    rows() is called before the output opens, so a producer that checks
+    its ceiling on the call fails before any --out file exists.  A table
+    measures its column widths on that pass, drops it (a map that ends at
+    its range keeps the recursion's marks) and writes a second rows().
+    """
+    produced = rows()
     if fmt == "table":
-        _write_table(stream, headers, rows)
-    elif fmt == "csv":
-        _write_csv(stream, headers, rows)
-    else:
-        _write_json(stream, command, arguments, (dict(zip(headers, row)) for row in rows))
+        widths = list(map(len, headers))
+        for row in produced:
+            widths = list(map(max, widths, map(len, map(str, row))))
+        line = "  ".join(f"%{w}s" for w in widths) + "\n"
+        produced = rows()
+    with _output(out) as stream:
+        if fmt == "table":
+            stream.write(line % tuple(headers))
+            stream.writelines(map(line.__mod__, produced))
+        elif fmt == "csv":
+            _write_csv(stream, headers, produced)
+        else:
+            _write_json(stream, command, arguments, (dict(zip(headers, row)) for row in produced))
+        if summary is not None:
+            _summary(stream, fmt, summary())
 
 
 def _summary(stream, fmt, line: str) -> None:
@@ -173,16 +175,6 @@ def _summary(stream, fmt, line: str) -> None:
         stream.write(line + "\n")
     else:
         click.echo(line, err=True)
-
-
-def _rec_and_closed(n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, p_rec, p_beatty) for n in [1, n_max].
-
-    The recursion's ceiling is checked now, so a capacity error comes
-    before any output; both values are computed as rows are read.
-    """
-    ns = range(1, n_max + 1)
-    return zip(ns, lower_values(n_max), map(beatty_p, ns))
 
 
 def _describe_move(move: Move, x: int, y: int) -> str:
@@ -216,15 +208,21 @@ def gen(n_max, method, fmt, out):
     arguments = {"n_max": n_max, "method": method, "format": fmt}
     ns = range(1, n_max + 1)
     # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
+    # a producer calls lower_values as it is called, so the ceiling fails before any output
     if method == "both":
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
-        rows = ((n, p, p + n, pb, pb + n, p - pb) for n, p, pb in _rec_and_closed(n_max))
+
+        def rows():
+            pairs = zip(ns, lower_values(n_max), map(beatty_p, ns))
+            return ((n, p, p + n, pb, pb + n, p - pb) for n, p, pb in pairs)
     else:
         headers = ["n", "p", "q"]
-        ps = lower_values(n_max) if method == "recursive" else map(beatty_p, ns)
-        rows = ((n, p, p + n) for n, p in zip(ns, ps))
-    with _output(out) as stream:
-        _emit(stream, fmt, "gen", arguments, headers, rows)
+
+        def rows():
+            ps = lower_values(n_max) if method == "recursive" else map(beatty_p, ns)
+            return ((n, p, p + n) for n, p in zip(ns, ps))
+
+    _emit(out, fmt, "gen", arguments, headers, rows)
 
 
 @main.command()
@@ -337,19 +335,21 @@ def best_move_cmd(a, b):
 def error_term_cmd(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
-    pairs = _rec_and_closed(n_max)
+    ns = range(1, n_max + 1)
     counts: Counter[int] = Counter()
 
-    def rows():
-        for n, p, pb in pairs:
-            e = p - pb
-            counts[e] += 1
-            yield n, p, pb, e
+    def tally(n, p, pb):
+        counts[p - pb] += 1
+        return n, p, pb, p - pb
 
-    with _output(out) as stream:
-        _emit(stream, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows())
-        rendered = ", ".join(f"{e}: {counts[e]}" for e in sorted(counts))
-        _summary(stream, fmt, f"histogram {{{rendered}}}")
+    def rows():
+        counts.clear()  # a table reads the rows twice
+        return map(tally, ns, lower_values(n_max), map(beatty_p, ns))
+
+    def histogram():
+        return "histogram {" + ", ".join(f"{e}: {counts[e]}" for e in sorted(counts)) + "}"
+
+    _emit(out, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows, histogram)
 
 
 @main.command()
@@ -364,14 +364,13 @@ def primes(n_max, sieve_limit, fmt, out):
     headers = ["n", "p_n", "index", "q_at_index", "holds"]
     # built before any output: an undersized sieve raises on some n
     evidence = [check_prime_claim(table, n) for n in range(3, n_max + 1)]
-    # csv's %s would print Python's True / False; table and json render bools
-    holds = _token if fmt == "csv" else bool
+    # json renders bools; csv and table need a _token
+    holds = bool if fmt == "json" else _token
     rows = [(ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)) for ev in evidence]
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}
     holding = sum(ev.holds for ev in evidence)
-    with _output(out) as stream:
-        _emit(stream, fmt, "primes", arguments, headers, rows)
-        _summary(stream, fmt, f"claim holds for {holding} of {len(rows)} indices")
+    summary = f"claim holds for {holding} of {len(rows)} indices"
+    _emit(out, fmt, "primes", arguments, headers, lambda: rows, lambda: summary)
     if holding != len(rows):
         sys.exit(1)
 

@@ -11,8 +11,8 @@ digest: forked as ``verify_all`` runs by default; inline, with
 ``os.fork`` deleted; and with every proof refused, so each report comes
 from the per-n reference rules and an identity stated wrongly yet
 settled by a shared proof shows.  The full-scale json, the
-fault-injection counterexamples and the 10^6-row ``gen --method both``
-csv follow.
+fault-injection counterexamples, the 10^6-row ``gen --method both``
+csv and the 10^6-row ``gen`` table follow.
 
 Run from anywhere:
 
@@ -93,6 +93,11 @@ CASES = (
         "gen --method both csv at 10^6",
         ["-m", "wythoff.cli", "gen", "--n-max", "1000000", "--method", "both", "--format", "csv"],
         "76c34356e0491cc2fb0ecf61675d45ab5c6243f831b56b653bd5829c1b227eb2",
+    ),
+    (
+        "gen table at 10^6",
+        ["-m", "wythoff.cli", "gen", "--n-max", "1000000", "--format", "table"],
+        "123e80f43a642733d583ca5ce725d6aba07759ffdfac15d52c4a6584938243be",
     ),
 )
 

@@ -49,6 +49,7 @@ SEQUENCE_TESTS = "tests/test_sequences.py::"
 GAME_TESTS = "tests/test_game.py::"
 PRIME_TESTS = "tests/test_primes.py::"
 CLI_TESTS = "tests/test_cli.py::"
+SNAPSHOT = "tests/test_snapshot.py::test_cli_output_bytes"
 
 MUTANTS = (
     # the step proof's anchor: without it the step rule started at p(1) = 2 passes
@@ -237,8 +238,8 @@ MUTANTS = (
     # a failing prime claim prints Python's False, or exits 0
     (
         CLI,
-        'return "false"',
-        'return "False"',
+        'else "false"',
+        'else "False"',
         (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
     ),
     (
@@ -246,6 +247,42 @@ MUTANTS = (
         "    if holding != len(rows):\n        sys.exit(1)\n",
         "",
         (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
+    ),
+    # a table reads the rows twice, so the histogram counts each n twice
+    (
+        CLI,
+        "        counts.clear()  # a table reads the rows twice\n",
+        "",
+        (CLI_TESTS + "TestErrorTerm::test_small_scan",),
+    ),
+    # table widths from the headers alone: wider cells break the columns.
+    # The small tables of TestPrimes and TestErrorTerm fit their headers,
+    # so only the pinned digests see it
+    (
+        CLI,
+        "            widths = list(map(max, widths, map(len, map(str, row))))\n",
+        "            pass\n",
+        (
+            SNAPSHOT + "[gen --n-max 2000 --method both --format table]",
+            SNAPSHOT + "[error-term --n-max 2000 --format table]",
+            SNAPSHOT + "[primes --n-max 500 --format table]",
+        ),
+    ),
+    # the output opened before the producer's ceiling check: an --out file
+    # is left behind by a command that fails
+    (
+        CLI,
+        "    produced = rows()\n    if",
+        "    _output(out)\n    produced = rows()\n    if",
+        (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
+    ),
+    # a table's first pass kept alive through the second: error-term's map
+    # stops at its range and holds a second copy of the recursion's marks
+    (
+        CLI,
+        "        produced = rows()\n    with",
+        "        held, produced = produced, rows()\n    with",
+        (CLI_TESTS + "TestStreaming::test_table_holds_no_rows",),
     ),
     # a closed stdout exits 1, not 141
     (

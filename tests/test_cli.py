@@ -337,17 +337,18 @@ class TestCeilings:
     @pytest.mark.parametrize(
         "args",
         [
-            ["gen", "--method", "recursive"],
-            ["gen", "--method", "both"],
-            ["error-term"],
+            ["gen", "--method", "recursive", "--format", "csv"],
+            ["gen", "--method", "both", "--format", "csv"],
+            ["error-term", "--format", "csv"],
+            ["gen", "--method", "recursive", "--format", "table"],
+            ["gen", "--method", "both", "--format", "table"],
+            ["error-term", "--format", "table"],
         ],
     )
     def test_table_ceiling_exits_three(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
         target = tmp_path / "rows.csv"
-        r = runner.invoke(
-            main, [*args, "--n-max", "101", "--format", "csv", "--out", str(target)]
-        )
+        r = runner.invoke(main, [*args, "--n-max", "101", "--out", str(target)])
         assert r.exit_code == 3
         assert "exceeds the table bound 100" in r.stderr
         assert not target.exists()
@@ -376,25 +377,25 @@ def _peak_bytes(fn) -> int:
 
 
 class TestStreaming:
-    """csv rows stream to the writer instead of being collected first."""
+    """csv and table rows stream to the writer instead of being collected first."""
 
     @staticmethod
-    def write_csv(runner, tmp_path, args):
-        r = runner.invoke(main, [*args, "--format", "csv", "--out", str(tmp_path / "rows.csv")])
+    def write_rows(runner, tmp_path, args, fmt="csv"):
+        r = runner.invoke(main, [*args, "--format", fmt, "--out", str(tmp_path / "rows.csv")])
         assert r.exit_code == 0
 
     def test_beatty_runs_in_constant_memory(self, runner, tmp_path):
         args = ["gen", "--method", "beatty", "--n-max"]
-        self.write_csv(runner, tmp_path, [*args, "10"])  # warm up lazy imports
-        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*args, "20000"]))
+        self.write_rows(runner, tmp_path, [*args, "10"])  # warm up lazy imports
+        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, [*args, "20000"]))
         assert peak < 2**20
 
     @pytest.mark.parametrize("command", [["gen", "--method", "both"], ["error-term"]])
     def test_bounded_by_the_table(self, runner, tmp_path, command):
         n = 50_000
-        self.write_csv(runner, tmp_path, [*command, "--n-max", "10"])
+        self.write_rows(runner, tmp_path, [*command, "--n-max", "10"])
         table_peak = _peak_bytes(lambda: build_recursive(n))
-        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*command, "--n-max", str(n)]))
+        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, [*command, "--n-max", str(n)]))
         assert peak <= 1.25 * table_peak
 
     @pytest.mark.parametrize(
@@ -402,9 +403,20 @@ class TestStreaming:
     )
     def test_recursion_streams_without_a_table(self, runner, tmp_path, command):
         # only the recursion's occupancy marks stay resident, ~3 bytes per pair
-        self.write_csv(runner, tmp_path, [*command, "--n-max", "10"])
-        peak = _peak_bytes(lambda: self.write_csv(runner, tmp_path, [*command, "--n-max", "50000"]))
+        self.write_rows(runner, tmp_path, [*command, "--n-max", "10"])
+        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, [*command, "--n-max", "50000"]))
         assert peak < 2**20
+
+    @pytest.mark.parametrize("command", [["gen", "--method", "both"], ["error-term"]])
+    def test_table_holds_no_rows(self, runner, tmp_path, command):
+        # the widths come from a first pass over the rows, the lines from a
+        # second, and the first pass's marks are freed before the second's
+        self.write_rows(runner, tmp_path, [*command, "--n-max", "10"], "table")
+        args = [*command, "--n-max", "50000"]
+        csv_peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args))
+        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args, "table"))
+        assert peak < 2**20
+        assert peak <= 1.25 * csv_peak
 
 
 class TestJsonLayout:

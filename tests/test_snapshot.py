@@ -1,8 +1,9 @@
 """Golden snapshot of the bit-stable outputs and the fault-injection verdicts.
 
-Pins the sha256 of the machine-format CLI outputs (each written with
-``--out``), the set of failed reports for a grid of single-entry
-corruptions, and the full counterexample lists for the positive-delta
+Pins the sha256 of CLI outputs (each written with ``--out``): the
+machine formats, and the table format of ``gen``, ``error-term`` and
+``primes``; the set of failed reports for a grid of single-entry
+corruptions; and the full counterexample lists for the positive-delta
 corruptions.  Any refactor of the registry or the CLI must leave all of
 them unchanged.  Table-format ``verify`` output carries timings, so it
 is not pinned.
@@ -37,6 +38,18 @@ CLI_DIGESTS = [
     (
         "error-term --n-max 2000 --format csv",
         "216b3edd5a6c99c674233acae8f13e21490dcdbfb8991a09bab40abc1487690a",
+    ),
+    (
+        "gen --n-max 2000 --method both --format table",
+        "fe02652b5a957d95dbe9a1dc5b00bc28cae33d4f93cea717abd7fed52a39e431",
+    ),
+    (
+        "error-term --n-max 2000 --format table",
+        "cec06591aa64d2c8672a0d4acf59801c419bf477b6a356b1cacc5f8ca62dc282",
+    ),
+    (
+        "primes --n-max 500 --format table",
+        "ed946612a4e3d9b2d65907b8673afeb9d4dbdc92d8e0b89d94b1dc3bef836fdc",
     ),
 ]
 
