@@ -11,12 +11,11 @@ a time.  ``gen --method recursive``/``both`` and ``error-term`` stream
 the mex recursion itself, never a pair table, so they hold only its
 occupancy marks, ~3 bytes per pair (19.9 MiB peak RSS for a 10^6-row
 csv, where a pair table would take 96.3 MiB), and ``gen --method
-beatty`` runs in constant memory.  ``--format table`` runs its producer
-twice, once to measure the column widths and once to write, and
-``primes`` builds its rows first so an undersized sieve fails before any
-output.  Every command checks what can fail before it opens stdout or
-``--out``, so a failing command writes nothing.  Only an I/O error while
-writing can leave partial output.
+beatty`` runs in constant memory, and ``primes`` holds only its sieve.
+``--format table`` runs its producer twice, once to measure the column
+widths and once to write.  Every command checks what can fail before it
+opens stdout or ``--out``, so a failing command writes nothing.  Only an
+I/O error while writing can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
@@ -361,17 +360,28 @@ def primes(n_max, sieve_limit, fmt, out):
     """Check the composite-index identity for prime indices 3..N."""
     limit = sieve_limit if sieve_limit is not None else sieve_limit_for(n_max)
     table = build_prime_gap(limit)
+    # an undersized sieve fails here, before any output (see check_prime_claim)
+    check_prime_claim(table, min(n_max, len(table.primes) + 1))
     headers = ["n", "p_n", "index", "q_at_index", "holds"]
-    # built before any output: an undersized sieve raises on some n
-    evidence = [check_prime_claim(table, n) for n in range(3, n_max + 1)]
     # json renders bools; csv and table need a _token
     holds = bool if fmt == "json" else _token
-    rows = [(ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)) for ev in evidence]
+    counts: Counter[bool] = Counter()
+
+    def row(n):
+        ev = check_prime_claim(table, n)
+        counts[ev.holds] += 1
+        return ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)
+
+    def rows():
+        counts.clear()  # a table reads the rows twice
+        return map(row, range(3, n_max + 1))
+
+    def summary():
+        return f"claim holds for {counts[True]} of {n_max - 2} indices"
+
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}
-    holding = sum(ev.holds for ev in evidence)
-    summary = f"claim holds for {holding} of {len(rows)} indices"
-    _emit(out, fmt, "primes", arguments, headers, lambda: rows, lambda: summary)
-    if holding != len(rows):
+    _emit(out, fmt, "primes", arguments, headers, rows, summary)
+    if counts[False]:
         sys.exit(1)
 
 

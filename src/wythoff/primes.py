@@ -96,6 +96,12 @@ def check_prime_claim(table: PrimeGapTable, n: int) -> PrimeClaimEvidence:
 
     Defined for n >= 3: the identity needs prime(n) - 1 to be composite,
     which fails for the consecutive primes 2, 3 below that point.
+
+    For 3 <= n <= len(table.primes), prime(n) <= limit and the index
+    prime(n) - n - 1 >= 1 counts the composites below prime(n), all in the
+    sieve: the composites never run out first, and the index never falls
+    as n rises.  So n = len(table.primes) + 1 is the first n to raise, and
+    one call at min(N, len(table.primes) + 1) fails iff some n in 3..N would.
     """
     if n < 3:
         raise RangeError(f"the claim is stated for n >= 3, got {n}")

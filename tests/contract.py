@@ -12,7 +12,8 @@ digest: forked as ``verify_all`` runs by default; inline, with
 from the per-n reference rules and an identity stated wrongly yet
 settled by a shared proof shows.  The full-scale json, the
 fault-injection counterexamples, the 10^6-row ``gen --method both``
-csv and the 10^6-row ``gen`` table follow.
+csv, the 10^6-row ``gen`` table and the 600,000-row ``primes`` csv, near
+the sieve's bound, follow.
 
 Run from anywhere:
 
@@ -98,6 +99,11 @@ CASES = (
         "gen table at 10^6",
         ["-m", "wythoff.cli", "gen", "--n-max", "1000000", "--format", "table"],
         "123e80f43a642733d583ca5ce725d6aba07759ffdfac15d52c4a6584938243be",
+    ),
+    (
+        "primes csv at 600,000",
+        ["-m", "wythoff.cli", "primes", "--n-max", "600000", "--format", "csv"],
+        "fc3fd66a3b44f4a0da5ea33a85c4ec8eda10350c6cfdd0625279369f054bab5d",
     ),
 )
 

@@ -244,16 +244,48 @@ MUTANTS = (
     ),
     (
         CLI,
-        "    if holding != len(rows):\n        sys.exit(1)\n",
+        "    if counts[False]:\n        sys.exit(1)\n",
         "",
         (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
     ),
     # a table reads the rows twice, so the histogram counts each n twice
     (
         CLI,
-        "        counts.clear()  # a table reads the rows twice\n",
-        "",
+        "        counts.clear()  # a table reads the rows twice\n        return map(tally",
+        "        return map(tally",
         (CLI_TESTS + "TestErrorTerm::test_small_scan",),
+    ),
+    # and primes' summary counts each index twice: 2 of 2 hold, exit 0
+    (
+        CLI,
+        "        counts.clear()  # a table reads the rows twice\n        return map(row",
+        "        return map(row",
+        (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
+    ),
+    # primes' rows materialised again, beside the sieve
+    (
+        CLI,
+        "        return map(row, range(3, n_max + 1))\n",
+        "        return list(map(row, range(3, n_max + 1)))\n",
+        (
+            CLI_TESTS + "TestStreaming::test_primes_holds_only_its_sieve[csv]",
+            CLI_TESTS + "TestStreaming::test_primes_holds_only_its_sieve[table]",
+        ),
+    ),
+    # the eager check at n_max alone: an undersized sieve names n_max, not
+    # the first n it cannot serve
+    (
+        CLI,
+        "check_prime_claim(table, min(n_max, len(table.primes) + 1))",
+        "check_prime_claim(table, n_max)",
+        (CLI_TESTS + "TestPrimes::test_undersized_sieve_errors",),
+    ),
+    # no eager check: the rows fail mid-stream, after the --out file exists
+    (
+        CLI,
+        "    check_prime_claim(table, min(n_max, len(table.primes) + 1))\n",
+        "",
+        (CLI_TESTS + "TestPrimes::test_undersized_sieve_writes_nothing",),
     ),
     # table widths from the headers alone: wider cells break the columns.
     # The small tables of TestPrimes and TestErrorTerm fit their headers,

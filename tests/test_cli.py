@@ -16,7 +16,13 @@ import wythoff
 import wythoff.cli
 import wythoff.game
 import wythoff.sequences
-from wythoff import Counterexample, VerificationReport, build_prime_gap, build_recursive
+from wythoff import (
+    Counterexample,
+    VerificationReport,
+    build_prime_gap,
+    build_recursive,
+    sieve_limit_for,
+)
 from wythoff.cli import _write_json, main
 
 
@@ -298,6 +304,19 @@ class TestPrimes:
         assert r.exit_code == 2
         assert "sieve limit 50 yields only 15 primes, index 16 unavailable" in r.output
 
+    @pytest.mark.parametrize("n_max", ["100", "100000"])
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_undersized_sieve_writes_nothing(self, runner, tmp_path, fmt, n_max):
+        # the first n the sieve cannot serve is named, before any row is written
+        args = ["primes", "--n-max", n_max, "--sieve-limit", "50", "--format", fmt]
+        target = tmp_path / "rows.txt"
+        for out in ([], ["--out", str(target)]):
+            r = runner.invoke(main, [*args, *out])
+            assert r.exit_code == 2
+            assert r.stdout == ""
+            assert r.stderr == "error: sieve limit 50 yields only 15 primes, index 16 unavailable\n"
+        assert not target.exists()
+
     def test_json_types(self, runner):
         r = runner.invoke(main, ["primes", "--n-max", "5", "--format", "json"])
         payload = json.loads(r.stdout)
@@ -417,6 +436,15 @@ class TestStreaming:
         peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args, "table"))
         assert peak < 2**20
         assert peak <= 1.25 * csv_peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_primes_holds_only_its_sieve(self, runner, tmp_path, fmt):
+        n = 5000
+        self.write_rows(runner, tmp_path, ["primes", "--n-max", "10"], fmt)
+        sieve_peak = _peak_bytes(lambda: build_prime_gap(sieve_limit_for(n)))
+        args = ["primes", "--n-max", str(n)]
+        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args, fmt))
+        assert peak <= 1.25 * sieve_peak
 
 
 class TestJsonLayout:

@@ -108,6 +108,17 @@ class TestPrimeClaim:
         with pytest.raises(RangeError):
             check_prime_claim(small, 25)
 
+    def test_first_unserved_n_is_one_past_the_prime_count(self):
+        # check_prime_claim's docstring proves this; the primes command leans
+        # on it to check one n before any output
+        for limit in range(4, 3001):
+            t = build_prime_gap(limit)
+            count = len(t.primes)
+            assert all(check_prime_claim(t, n).holds for n in range(3, count + 1)), limit
+            message = f"^sieve limit {limit} yields only {count} primes, index {count + 1} "
+            with pytest.raises(RangeError, match=message + "unavailable$"):
+                check_prime_claim(t, count + 1)
+
     def test_counting_identity(self, table):
         # below the n-th prime sit exactly n primes and the number 1,
         # so prime(n) - n - 1 composites
