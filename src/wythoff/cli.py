@@ -9,13 +9,22 @@ stderr so the data stream stays parseable.
 Every format streams: rows go from their producer to the writer one at
 a time.  ``gen --method recursive``/``both`` and ``error-term`` stream
 the mex recursion itself, never a pair table, so they hold only its
-occupancy marks, ~3 bytes per pair (19.9 MiB peak RSS for a 10^6-row
+occupancy marks, ~3 bytes per pair (20.4 MiB peak RSS for a 10^6-row
 csv, where a pair table would take 96.3 MiB), and ``gen --method
 beatty`` runs in constant memory, and ``primes`` holds only its sieve.
 ``--format table`` runs its producer twice, once to measure the column
-widths and once to write.  Every command checks what can fail before it
-opens stdout or ``--out``, so a failing command writes nothing.  Only an
-I/O error while writing can leave partial output.
+widths and once to write.
+
+Rows are written on two cores, in two halves of the index range: a
+forked child writes the upper half to an unnamed temporary file (as much
+TMPDIR disk as that half's bytes) while the parent writes the lower
+half, then copies the file in.  Each process holds what one writer
+would; peak RSS grows only by the ``pickle`` import that brings the
+child's result back.  Without ``os.fork`` one process writes both.
+
+Every command checks what can fail before it opens stdout or ``--out``,
+so a failing command writes nothing.  Only an I/O error while writing,
+a full TMPDIR among them, can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
@@ -31,6 +40,8 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from itertools import chain, islice
+from tempfile import TemporaryFile
 from typing import Iterable
 
 import click
@@ -39,7 +50,7 @@ from .errors import CapacityError, WythoffError
 from .game import GameState, Move, MoveKind, best_move, is_losing, solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
 from .sequences import beatty_p, lower_values
-from .verify import REGISTRY, report_text, verify_all, verify_identity
+from .verify import REGISTRY, _in_child, report_text, verify_all, verify_identity
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
@@ -111,27 +122,45 @@ def _token(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _write_csv(stream, headers, rows) -> None:
-    """One line per row tuple, fields joined by commas.
+def _line_form(fmt, headers, widths=None) -> str:
+    """The %-form of one csv line, or of one table line for the column widths.
 
-    Fields are ints, registry ids and the true / false tokens (a bool
+    csv fields are ints, registry ids and the true / false tokens (a bool
     must already be a _token), none of which holds a comma, quote or
     newline, so no field ever needs csv quoting.
     """
-    line = ",".join(["%s"] * len(headers)) + "\n"
-    stream.write(line % tuple(headers))
-    stream.writelines(map(line.__mod__, rows))
+    if fmt == "table":
+        return "  ".join(f"%{w}s" for w in widths) + "\n"
+    return ",".join(["%s"] * len(headers)) + "\n"
+
+
+def _json_head(command, arguments) -> str:
+    """The json payload up to its first row: its meta and the opening of "rows"."""
+    head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
+    return head[: -len("\n}")] + ',\n  "rows": ['
+
+
+def _json_line(row: dict) -> str:
+    """One json row, indented to its depth and led by the comma after the row before it."""
+    return ",\n    " + _JSON_ROW.encode(row).replace("\n", "\n    ")
+
+
+def _write(stream, fmt, head, lines) -> None:
+    """Write head, then the text of lines; json drops its first lead comma and closes.
+
+    The bytes are those of the whole file at once, as json.dump(payload,
+    indent=2) would write a json one.
+    """
+    first = next(lines, "")
+    stream.write(head + (first[1:] if fmt == "json" else first))
+    stream.writelines(lines)
+    if fmt == "json":
+        stream.write("\n  ]\n}\n" if first else "]\n}\n")
 
 
 def _write_json(stream, command, arguments, row_dicts: Iterable[dict]) -> None:
     """The bytes of json.dump(payload, indent=2), written one row at a time."""
-    head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
-    stream.write(head[: -len("\n}")] + ',\n  "rows": [')
-    sep = "\n"
-    for row in row_dicts:
-        stream.write(sep + "    " + _JSON_ROW.encode(row).replace("\n", "\n    "))
-        sep = ",\n"
-    stream.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    _write(stream, "json", _json_head(command, arguments), map(_json_line, row_dicts))
 
 
 def _output(out):
@@ -141,31 +170,88 @@ def _output(out):
     return open(out, "w", encoding="utf-8", newline="")
 
 
-def _emit(out, fmt, command, arguments, headers, rows, summary=None) -> None:
-    """Write the row tuples of the producer rows() to --out or stdout, then summary().
+def _widths(headers, produced) -> list[int]:
+    """The width of each table column: its widest str() over the headers and the rows."""
+    widths = list(map(len, headers))
+    for row in produced:
+        widths = list(map(max, widths, map(len, map(str, row))))
+    return widths
 
-    rows() is called before the output opens, so a producer that checks
-    its ceiling on the call fails before any --out file exists.  A table
-    measures its column widths on that pass, drops it (a map that ends at
-    its range keeps the recursion's marks) and writes a second rows().
+
+def _counted(produced, counts: Counter):
+    """The rows of produced, each counted in counts by its last field as it passes."""
+    for row in produced:
+        counts[row[-1]] += 1
+        yield row
+
+
+def _recursion(n_max: int, span: range):
+    """p(n) for n in span, a part of 1..n_max: lower_values(n_max), whose
+    ceiling check on the call every half shares, skipped to span."""
+    return islice(lower_values(n_max), span.start - 1, span.stop - 1)
+
+
+def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Counter:
+    """Write the row tuples of rows(span) to --out or stdout, then summary(counts).
+
+    A child forked through _in_child writes the upper half of span to an
+    unnamed temporary file, opened before the fork, while this process
+    writes the lower half to the output, then copies the file in after it
+    in 16 KiB chunks (a 64 KiB text chunk held four times that in
+    passing).  The fork comes before either process calls rows(), so no
+    producer's state is copied.  Without os.fork the upper half is written
+    inline, after the lower.  A child's error, such as a full TMPDIR, is
+    raised here once the lower half is out.
+
+    rows(lower) is called before the output opens, so a producer that
+    checks its ceiling on the call fails before any --out file exists.  A
+    table measures its column widths first, each half in its own process,
+    with producers that end before the writing ones start.  With a
+    summary, each half counts its rows by their last field, and the
+    summed counts go to summary() and are returned.
     """
-    produced = rows()
-    if fmt == "table":
-        widths = list(map(len, headers))
-        for row in produced:
-            widths = list(map(max, widths, map(len, map(str, row))))
-        line = "  ".join(f"%{w}s" for w in widths) + "\n"
-        produced = rows()
-    with _output(out) as stream:
+    cut = (len(span) + 1) // 2
+    lower, upper = span[:cut], span[cut:]
+    if fmt == "json":
+        head = _json_head(command, arguments)
+
+        def line(row):
+            return _json_line(dict(zip(headers, row)))
+
+    else:
+        widths = None
         if fmt == "table":
-            stream.write(line % tuple(headers))
-            stream.writelines(map(line.__mod__, produced))
-        elif fmt == "csv":
-            _write_csv(stream, headers, produced)
-        else:
-            _write_json(stream, command, arguments, (dict(zip(headers, row)) for row in produced))
-        if summary is not None:
-            _summary(stream, fmt, summary())
+            with _in_child(lambda: _widths(headers, rows(upper))) as upper_widths:
+                widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))
+        form = _line_form(fmt, headers, widths)
+        head, line = form % tuple(headers), form.__mod__
+
+    counts: Counter = Counter()
+
+    def lines(half, tally):
+        produced = rows(half)
+        return map(line, produced if summary is None else _counted(produced, tally))
+
+    def write_upper():
+        tally = Counter()
+        spill.writelines(lines(upper, tally))
+        spill.flush()  # a forked child leaves by os._exit, which flushes nothing
+        return tally
+
+    def spliced(upper_counts):
+        counts.update(upper_counts())
+        spill.seek(0)
+        yield from iter(lambda: spill.read(1 << 14), "")
+
+    with TemporaryFile("w+", encoding="utf-8", newline="") as spill:
+        with _in_child(write_upper) as upper_counts:
+            # the chain lets go of the lower half's producer once it ends
+            produced = chain(lines(lower, counts), spliced(upper_counts))
+            with _output(out) as stream:
+                _write(stream, fmt, head, produced)
+                if summary is not None:
+                    _summary(stream, fmt, summary(counts))
+    return counts
 
 
 def _summary(stream, fmt, line: str) -> None:
@@ -205,23 +291,22 @@ def main():
 def gen(n_max, method, fmt, out):
     """Emit the first N sequence pairs (recursion, closed form, or both)."""
     arguments = {"n_max": n_max, "method": method, "format": fmt}
-    ns = range(1, n_max + 1)
     # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
     # a producer calls lower_values as it is called, so the ceiling fails before any output
     if method == "both":
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
 
-        def rows():
-            pairs = zip(ns, lower_values(n_max), map(beatty_p, ns))
+        def rows(span):
+            pairs = zip(span, _recursion(n_max, span), map(beatty_p, span))
             return ((n, p, p + n, pb, pb + n, p - pb) for n, p, pb in pairs)
     else:
         headers = ["n", "p", "q"]
 
-        def rows():
-            ps = lower_values(n_max) if method == "recursive" else map(beatty_p, ns)
-            return ((n, p, p + n) for n, p in zip(ns, ps))
+        def rows(span):
+            ps = _recursion(n_max, span) if method == "recursive" else map(beatty_p, span)
+            return ((n, p, p + n) for n, p in zip(span, ps))
 
-    _emit(out, fmt, "gen", arguments, headers, rows)
+    _emit(out, fmt, "gen", arguments, headers, rows, range(1, n_max + 1))
 
 
 @main.command()
@@ -266,7 +351,8 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
                 (r.identity_id, r.lo, r.hi, _token(r.passed), len(r.counterexamples))
                 for r in reports
             )
-            _write_csv(stream, headers, rows)
+            line = _line_form(fmt, headers)
+            _write(stream, fmt, line % tuple(headers), map(line.__mod__, rows))
         else:
             _write_json(stream, "verify", arguments, (r.to_dict() for r in reports))
         _summary(
@@ -334,21 +420,16 @@ def best_move_cmd(a, b):
 def error_term_cmd(n_max, fmt, out):
     """Scan the gap between the recursion and the closed form."""
     headers = ["n", "p", "p_beatty", "e"]
-    ns = range(1, n_max + 1)
-    counts: Counter[int] = Counter()
 
-    def tally(n, p, pb):
-        counts[p - pb] += 1
-        return n, p, pb, p - pb
+    def rows(span):
+        pairs = zip(span, _recursion(n_max, span), map(beatty_p, span))
+        return ((n, p, pb, p - pb) for n, p, pb in pairs)
 
-    def rows():
-        counts.clear()  # a table reads the rows twice
-        return map(tally, ns, lower_values(n_max), map(beatty_p, ns))
-
-    def histogram():
+    def histogram(counts):
         return "histogram {" + ", ".join(f"{e}: {counts[e]}" for e in sorted(counts)) + "}"
 
-    _emit(out, fmt, "error-term", {"n_max": n_max, "format": fmt}, headers, rows, histogram)
+    arguments = {"n_max": n_max, "format": fmt}
+    _emit(out, fmt, "error-term", arguments, headers, rows, range(1, n_max + 1), histogram)
 
 
 @main.command()
@@ -365,23 +446,20 @@ def primes(n_max, sieve_limit, fmt, out):
     headers = ["n", "p_n", "index", "q_at_index", "holds"]
     # json renders bools; csv and table need a _token
     holds = bool if fmt == "json" else _token
-    counts: Counter[bool] = Counter()
 
     def row(n):
         ev = check_prime_claim(table, n)
-        counts[ev.holds] += 1
         return ev.n, ev.p_n, ev.index, ev.q_at_index, holds(ev.holds)
 
-    def rows():
-        counts.clear()  # a table reads the rows twice
-        return map(row, range(3, n_max + 1))
+    def rows(span):
+        return map(row, span)
 
-    def summary():
-        return f"claim holds for {counts[True]} of {n_max - 2} indices"
+    def summary(counts):
+        return f"claim holds for {counts[holds(True)]} of {n_max - 2} indices"
 
     arguments = {"n_max": n_max, "sieve_limit": limit, "format": fmt}
-    _emit(out, fmt, "primes", arguments, headers, rows, summary)
-    if counts[False]:
+    counts = _emit(out, fmt, "primes", arguments, headers, rows, range(3, n_max + 1), summary)
+    if counts[holds(False)]:
         sys.exit(1)
 
 

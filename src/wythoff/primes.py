@@ -74,7 +74,11 @@ class PrimeGapTable:
 
 
 def build_prime_gap(limit: int) -> PrimeGapTable:
-    """Sieve of Eratosthenes split into prime and composite sequences."""
+    """Sieve of Eratosthenes split into prime and composite sequences.
+
+    Both are arrays of C ints ("i", 4 bytes), half the size of 8-byte
+    ones: no value exceeds the sieve cap of 10^7 < 2**31.
+    """
     if limit < 4:
         raise RangeError(f"limit must be >= 4, got {limit}")
     if limit > _SIEVE_CAP:
@@ -84,10 +88,10 @@ def build_prime_gap(limit: int) -> PrimeGapTable:
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    primes = array("q", compress(range(limit + 1), sieve))
+    primes = array("i", compress(range(limit + 1), sieve))
     is_composite = sieve.translate(bytes.maketrans(b"\0\1", b"\1\0"))
     is_composite[0] = is_composite[1] = 0
-    composites = array("q", compress(range(limit + 1), is_composite))
+    composites = array("i", compress(range(limit + 1), is_composite))
     return PrimeGapTable(limit, primes, composites)
 
 

@@ -35,6 +35,8 @@ A corrupted table therefore yields failed reports, never an exception;
 while the parent builds the table and settles the table identities, so
 on two cores the table chain alone is the critical path.
 `verify_identity` and `fault_injected_reports` stay in one process.
+The fork helper, `_in_child`, also writes the upper half of the CLI's
+row exports.
 
 Registry identifiers are short stable codes (L1, C2, ..., game-equiv,
 prime-claim) used verbatim by the command-line interface; descriptions
@@ -478,16 +480,16 @@ def _report(
 
 
 @contextmanager
-def _in_child(work: Callable[[], list]):
+def _in_child(work: Callable):
     """Start work() in a forked child; yield a function returning its result.
 
     The child sends work()'s result, or the exception it raised, back
     through a pipe as a pickle, and always leaves through ``os._exit``, so
     it never unwinds into its caller's frames or flushes their buffers a
-    second time.  The parent closes its end of the pipe before it reaps
-    the child, so a parent that fails first never waits on a child
-    blocked on a full pipe.  Where ``os.fork`` is missing, work() runs
-    inline when its result is asked for.
+    second time.  A parent that fails first, by any exception, SIGKILLs the
+    child before it reaps it, so it never waits on a child blocked on a
+    full pipe or still writing a file no reader will see.  Where
+    ``os.fork`` is missing, work() runs inline when its result is asked for.
     """
     if not hasattr(os, "fork"):
         yield work
@@ -522,6 +524,11 @@ def _in_child(work: Callable[[], list]):
                 return value
 
             yield result
+    except BaseException:
+        import signal  # only on this path: its import costs the benchmark's peak RSS
+
+        os.kill(pid, signal.SIGKILL)  # an unreaped child, even one that has exited, is there
+        raise
     finally:
         os.waitpid(pid, 0)
 

@@ -12,8 +12,10 @@ digest: forked as ``verify_all`` runs by default; inline, with
 from the per-n reference rules and an identity stated wrongly yet
 settled by a shared proof shows.  The full-scale json, the
 fault-injection counterexamples, the 10^6-row ``gen --method both``
-csv, the 10^6-row ``gen`` table and the 600,000-row ``primes`` csv, near
-the sieve's bound, follow.
+csv, both as the CLI writes it by default, its upper half in a forked
+child, and with ``os.fork`` deleted, so one process writes both halves,
+the 10^6-row ``gen`` table and the 600,000-row ``primes`` csv, near the
+sieve's bound, follow.
 
 Run from anywhere:
 
@@ -40,7 +42,10 @@ REGISTRY_200K = [
 ]
 REGISTRY_200K_SHA256 = "d44e64de70adc1aeacea3c3807fc65c20367d8864bb8b4d8eb2854752f796c83"
 
-# Runs the CLI on REGISTRY_200K after the given setup lines.
+GEN_1M = ["gen", "--n-max", "1000000", "--method", "both", "--format", "csv"]
+GEN_1M_SHA256 = "76c34356e0491cc2fb0ecf61675d45ab5c6243f831b56b653bd5829c1b227eb2"
+
+# Runs the CLI on args after the given setup lines.
 _CLI_AFTER = """\
 {setup}
 import wythoff.cli
@@ -92,8 +97,13 @@ CASES = (
     ),
     (
         "gen --method both csv at 10^6",
-        ["-m", "wythoff.cli", "gen", "--n-max", "1000000", "--method", "both", "--format", "csv"],
-        "76c34356e0491cc2fb0ecf61675d45ab5c6243f831b56b653bd5829c1b227eb2",
+        ["-m", "wythoff.cli", *GEN_1M],
+        GEN_1M_SHA256,
+    ),
+    (
+        "gen --method both csv at 10^6, without os.fork",
+        ["-c", _CLI_AFTER.format(setup="import os\ndel os.fork", args=GEN_1M)],
+        GEN_1M_SHA256,
     ),
     (
         "gen table at 10^6",

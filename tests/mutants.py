@@ -221,6 +221,13 @@ MUTANTS = (
         "for i in range(2, isqrt(limit)):",
         (PRIME_TESTS + "TestBuildPrimeGap::test_limit_ten",),
     ),
+    # the sieve's values back at 8 bytes each
+    (
+        PRIMES,
+        'composites = array("i",',
+        'composites = array("q",',
+        (PRIME_TESTS + "TestBuildPrimeGap::test_values_take_four_bytes",),
+    ),
     # a pile of 4,301 digits reaches click's int(), which echoes all of it
     (
         CLI,
@@ -244,32 +251,20 @@ MUTANTS = (
     ),
     (
         CLI,
-        "    if counts[False]:\n        sys.exit(1)\n",
+        "    if counts[holds(False)]:\n        sys.exit(1)\n",
         "",
-        (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
-    ),
-    # a table reads the rows twice, so the histogram counts each n twice
-    (
-        CLI,
-        "        counts.clear()  # a table reads the rows twice\n        return map(tally",
-        "        return map(tally",
-        (CLI_TESTS + "TestErrorTerm::test_small_scan",),
-    ),
-    # and primes' summary counts each index twice: 2 of 2 hold, exit 0
-    (
-        CLI,
-        "        counts.clear()  # a table reads the rows twice\n        return map(row",
-        "        return map(row",
         (CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",),
     ),
     # primes' rows materialised again, beside the sieve
     (
         CLI,
-        "        return map(row, range(3, n_max + 1))\n",
-        "        return list(map(row, range(3, n_max + 1)))\n",
+        "        return map(row, span)\n",
+        "        return list(map(row, span))\n",
         (
             CLI_TESTS + "TestStreaming::test_primes_holds_only_its_sieve[csv]",
             CLI_TESTS + "TestStreaming::test_primes_holds_only_its_sieve[table]",
+            CLI_TESTS + "TestStreamingInline::test_primes_holds_only_its_sieve[csv]",
+            CLI_TESTS + "TestStreamingInline::test_primes_holds_only_its_sieve[table]",
         ),
     ),
     # the eager check at n_max alone: an undersized sieve names n_max, not
@@ -292,8 +287,8 @@ MUTANTS = (
     # so only the pinned digests see it
     (
         CLI,
-        "            widths = list(map(max, widths, map(len, map(str, row))))\n",
-        "            pass\n",
+        "        widths = list(map(max, widths, map(len, map(str, row))))\n",
+        "        pass\n",
         (
             SNAPSHOT + "[gen --n-max 2000 --method both --format table]",
             SNAPSHOT + "[error-term --n-max 2000 --format table]",
@@ -304,17 +299,61 @@ MUTANTS = (
     # is left behind by a command that fails
     (
         CLI,
-        "    produced = rows()\n    if",
-        "    _output(out)\n    produced = rows()\n    if",
+        "            produced = chain(",
+        "            _output(out)\n            produced = chain(",
         (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
     ),
-    # a table's first pass kept alive through the second: error-term's map
-    # stops at its range and holds a second copy of the recursion's marks
+    # a table's width pass collects its rows before it measures them
     (
         CLI,
-        "        produced = rows()\n    with",
-        "        held, produced = produced, rows()\n    with",
-        (CLI_TESTS + "TestStreaming::test_table_holds_no_rows",),
+        "    for row in produced:\n        widths",
+        "    for row in list(produced):\n        widths",
+        (
+            CLI_TESTS + "TestStreaming::test_table_holds_no_rows",
+            CLI_TESTS + "TestStreamingInline::test_table_holds_no_rows",
+        ),
+    ),
+    # the forked child's half starts one row early, repeating a row, or one
+    # row late, dropping one
+    (
+        CLI,
+        "lower, upper = span[:cut], span[cut:]",
+        "lower, upper = span[:cut], span[cut - 1 :]",
+        (
+            SNAPSHOT + "[gen --n-max 2 --method both --format csv]",
+            SNAPSHOT + "[error-term --n-max 2000 --format table]",
+        ),
+    ),
+    (
+        CLI,
+        "lower, upper = span[:cut], span[cut:]",
+        "lower, upper = span[:cut], span[cut + 1 :]",
+        (
+            SNAPSHOT + "[gen --n-max 3 --method both --format csv]",
+            SNAPSHOT + "[primes --n-max 500 --format table]",
+            CLI_TESTS + "TestGen::test_csv_exact_bytes",
+        ),
+    ),
+    # the child's counts dropped: the histogram and the prime claim's
+    # verdict see the lower half alone
+    (
+        CLI,
+        "        counts.update(upper_counts())\n",
+        "        upper_counts()\n",
+        (
+            CLI_TESTS + "TestErrorTerm::test_small_scan",
+            CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",
+        ),
+    ),
+    # the child's file not flushed: os._exit drops its last buffered lines
+    (
+        CLI,
+        "        spill.flush()",
+        "        pass",
+        (
+            SNAPSHOT + "[gen --n-max 2000 --method both --format csv]",
+            SNAPSHOT + "[primes --n-max 4 --format json]",
+        ),
     ),
     # a closed stdout exits 1, not 141
     (
@@ -329,6 +368,14 @@ MUTANTS = (
         '    if out == "":\n',
         "    if False:\n",
         (CLI_TESTS + "TestOutputFailures::test_empty_out_exits_two_before_any_work",),
+    ),
+    # a failing parent waits for its forked child instead of stopping it: a
+    # closed stdout leaves the child writing its 5 x 10^6 rows to a file
+    (
+        VERIFY,
+        "        os.kill(pid, signal.SIGKILL)",
+        "        pass",
+        (CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",),
     ),
     # --out is no longer checked before the work.  Not listed: dropping
     # os.access(folder, os.W_OK) from _writable_dir, which only a non-root

@@ -1,11 +1,15 @@
 """Command-line behavior: formats, round-trips, and exit codes."""
 
+import contextlib
 import csv
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -396,7 +400,12 @@ def _peak_bytes(fn) -> int:
 
 
 class TestStreaming:
-    """csv and table rows stream to the writer instead of being collected first."""
+    """csv and table rows stream to the writer instead of being collected first.
+
+    Here the upper half of the rows is written in a forked child, so each
+    gate sees this process and the lower half; TestStreamingInline runs
+    the same gates with every row written in this process.
+    """
 
     @staticmethod
     def write_rows(runner, tmp_path, args, fmt="csv"):
@@ -447,6 +456,14 @@ class TestStreaming:
         assert peak <= 1.25 * sieve_peak
 
 
+class TestStreamingInline(TestStreaming):
+    """TestStreaming with os.fork deleted: both halves are written here, one after the other."""
+
+    @pytest.fixture(autouse=True)
+    def without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+
+
 class TestJsonLayout:
     """The streamed json has exactly json.dump's indent=2 layout."""
 
@@ -458,6 +475,13 @@ class TestJsonLayout:
             "gen --n-max 25 --method both",
             "error-term --n-max 25",
             "primes --n-max 25",
+            "gen --n-max 1 --method both",
+            "gen --n-max 2 --method both",
+            "gen --n-max 3 --method both",
+            "error-term --n-max 1",
+            "error-term --n-max 2",
+            "primes --n-max 3",
+            "primes --n-max 4",
             "verify --all --n-max 300 --game-cap 40 --prime-n-max 30",
         ],
     )
@@ -497,7 +521,7 @@ def test_runs_as_module():
 
 
 class TestOutputFailures:
-    """A missing --out directory or a closed stdout keeps the exit-code contract."""
+    """A missing --out directory, a full TMPDIR or a closed stdout keeps the exit-code contract."""
 
     @pytest.mark.parametrize(
         "args",
@@ -546,22 +570,48 @@ class TestOutputFailures:
         assert r.stderr == f"error: --out {target}: {folder} is not a writable directory\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("fork", ["forked", "inline"])
+    def test_full_tmpdir_exits_two(self, runner, monkeypatch, fork):
+        # the upper half's temporary file cannot be written: the lower half is
+        # out, and the error is raised in the parent whichever process wrote
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(wythoff.cli, "TemporaryFile", lambda *args, **kwargs: Full())
+        if fork == "inline":
+            monkeypatch.delattr(os, "fork")
+        r = runner.invoke(main, ["gen", "--n-max", "4", "--format", "csv"])
+        assert r.exit_code == 2
+        assert r.stdout == "n,p,q\n1,1,2\n2,3,5\n"
+        assert r.stderr == "error: [Errno 28] No space left on device\n"
+
     def test_closed_pipe_exits_141_quietly(self):
         src = str(Path(wythoff.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        # ~3 MB of csv, far more than a pipe buffers, so writes go on after the close
-        argv = [sys.executable, "-m", "wythoff.cli", "gen", "--n-max", "200000", "--format", "csv"]
+        # ~500 MB of csv: writes go on long after the close, and the forked
+        # child writes its 5 x 10^6 rows to a file, where no closed pipe stops
+        # it; the failing parent must SIGKILL it, not wait for it
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
         with subprocess.Popen(
-            argv,
+            [sys.executable, "-m", "wythoff.cli", *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path},
+            start_new_session=True,
         ) as proc:
-            assert proc.stdout.readline() == b"n,p,q\n"
-            proc.stdout.close()
             try:
-                code = proc.wait(timeout=60)
+                assert proc.stdout.readline() == b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
+                proc.stdout.close()
+                start = time.monotonic()
+                code = proc.wait(timeout=120)
+                elapsed = time.monotonic() - start
+                # nothing of the session is left: the child was reaped, not orphaned
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
             finally:
-                proc.kill()
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
             assert proc.stderr.read() == b""
         assert code == 141
+        assert elapsed < 5

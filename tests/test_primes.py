@@ -1,5 +1,6 @@
 """Prime/composite tables and the composite-index identity."""
 
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -58,6 +59,19 @@ class TestBuildPrimeGap:
     def test_limit_too_large(self):
         with pytest.raises(CapacityError):
             build_prime_gap(10_000_001)
+
+    def test_values_take_four_bytes(self):
+        # the sieve and its composite mask take 1 byte per integer each, and
+        # the primes and composites 4 bytes per integer between them: a peak
+        # near 6 bytes per integer, where 8-byte values would put it near 10
+        limit = 10**5
+        tracemalloc.start()
+        try:
+            build_prime_gap(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * limit
 
     def test_indexing(self):
         t = build_prime_gap(30)
