@@ -16,11 +16,15 @@ beatty`` runs in constant memory, and ``primes`` holds only its sieve.
 widths and once to write.
 
 Rows are written on two cores, in two halves of the index range: a
-forked child writes the upper half to an unnamed temporary file (as much
-TMPDIR disk as that half's bytes) while the parent writes the lower
-half, then copies the file in.  Each process holds what one writer
+forked child writes the upper half to an unnamed temporary file while
+the parent writes the lower half, then copies the file in.  The file
+takes as much TMPDIR space as that half's bytes, RAM where TMPDIR is a
+tmpfs, which no process's RSS shows.  Each process holds what one writer
 would; peak RSS grows only by the ``pickle`` import that brings the
-child's result back.  Without ``os.fork`` one process writes both.
+child's result back.  Without ``os.fork`` one process writes both.  An
+export past the table bound, which only ``gen --method beatty`` runs,
+is not split: it streams from one process in constant memory, and
+TMPDIR holds at most the upper half of a 10^7-row export.
 
 Every command checks what can fail before it opens stdout or ``--out``,
 so a failing command writes nothing.  Only an I/O error while writing,
@@ -46,6 +50,7 @@ from typing import Iterable
 
 import click
 
+from . import sequences
 from .errors import CapacityError, WythoffError
 from .game import GameState, Move, MoveKind, best_move, is_losing, solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
@@ -201,7 +206,11 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     passing).  The fork comes before either process calls rows(), so no
     producer's state is copied.  Without os.fork the upper half is written
     inline, after the lower.  A child's error, such as a full TMPDIR, is
-    raised here once the lower half is out.
+    raised here once the lower half is out.  A span of one row, or one
+    longer than the table bound, which only gen --method beatty reaches,
+    is written whole by this process, with no fork and no file.  So the
+    file never holds more than the upper half of a 10^7-row export: 230 MB
+    for a gen --method both csv, 760 MB for its json.
 
     rows(lower) is called before the output opens, so a producer that
     checks its ceiling on the call fails before any --out file exists.  A
@@ -210,8 +219,12 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     summary, each half counts its rows by their last field, and the
     summed counts go to summary() and are returned.
     """
-    cut = (len(span) + 1) // 2
+    # past the table bound only gen --method beatty runs: it streams here
+    # whole, where a split would spill without limit into TMPDIR
+    cut = len(span) if len(span) > sequences._TABLE_CAP else (len(span) + 1) // 2
     lower, upper = span[:cut], span[cut:]
+    # an empty upper half, of one row or past the bound, forks nothing
+    halves = _in_child if upper else nullcontext  # nullcontext(work) yields work itself
     if fmt == "json":
         head = _json_head(command, arguments)
 
@@ -221,7 +234,7 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     else:
         widths = None
         if fmt == "table":
-            with _in_child(lambda: _widths(headers, rows(upper))) as upper_widths:
+            with halves(lambda: _widths(headers, rows(upper))) as upper_widths:
                 widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))
         form = _line_form(fmt, headers, widths)
         head, line = form % tuple(headers), form.__mod__
@@ -231,6 +244,16 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     def lines(half, tally):
         produced = rows(half)
         return map(line, produced if summary is None else _counted(produced, tally))
+
+    def write(produced):
+        with _output(out) as stream:
+            _write(stream, fmt, head, produced)
+            if summary is not None:
+                _summary(stream, fmt, summary(counts))
+
+    if not upper:
+        write(lines(lower, counts))
+        return counts
 
     def write_upper():
         tally = Counter()
@@ -246,11 +269,7 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     with TemporaryFile("w+", encoding="utf-8", newline="") as spill:
         with _in_child(write_upper) as upper_counts:
             # the chain lets go of the lower half's producer once it ends
-            produced = chain(lines(lower, counts), spliced(upper_counts))
-            with _output(out) as stream:
-                _write(stream, fmt, head, produced)
-                if summary is not None:
-                    _summary(stream, fmt, summary(counts))
+            write(chain(lines(lower, counts), spliced(upper_counts)))
     return counts
 
 

@@ -296,11 +296,13 @@ MUTANTS = (
         ),
     ),
     # the output opened before the producer's ceiling check: an --out file
-    # is left behind by a command that fails
+    # is left behind by a command that fails.  Only a span past the table
+    # bound fails that check, and such a span is never split, so the same
+    # mutant on the split path's write is equivalent
     (
         CLI,
-        "            produced = chain(",
-        "            _output(out)\n            produced = chain(",
+        "        write(lines(lower, counts))",
+        "        _output(out)\n        write(lines(lower, counts))",
         (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
     ),
     # a table's width pass collects its rows before it measures them
@@ -333,6 +335,28 @@ MUTANTS = (
             SNAPSHOT + "[primes --n-max 500 --format table]",
             CLI_TESTS + "TestGen::test_csv_exact_bytes",
         ),
+    ),
+    # an export past the table bound split all the same, its upper half
+    # spilled to a temporary file with no limit on its size
+    (
+        CLI,
+        "    cut = len(span) if len(span) > sequences._TABLE_CAP else (len(span) + 1) // 2",
+        "    cut = (len(span) + 1) // 2",
+        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[csv]",),
+    ),
+    # an empty upper half forks all the same: for a table's widths, and for
+    # its rows into a temporary file
+    (
+        CLI,
+        "    halves = _in_child if upper else nullcontext",
+        "    halves = _in_child",
+        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[table]",),
+    ),
+    (
+        CLI,
+        "    if not upper:\n        write(",
+        "    if False:\n        write(",
+        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[csv]",),
     ),
     # the child's counts dropped: the histogram and the prime claim's
     # verdict see the lower half alone
@@ -375,7 +399,10 @@ MUTANTS = (
         VERIFY,
         "        os.kill(pid, signal.SIGKILL)",
         "        pass",
-        (CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",),
+        (
+            CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",
+            CLI_TESTS + "TestOutputFailures::test_closed_pipe_stops_a_stalled_child",
+        ),
     ),
     # --out is no longer checked before the work.  Not listed: dropping
     # os.access(folder, os.W_OK) from _writable_dir, which only a non-root

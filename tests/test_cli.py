@@ -382,6 +382,24 @@ class TestCeilings:
         assert r.exit_code == 0
         assert r.stdout.splitlines()[-1] == "101,163,264"
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_beatty_past_the_bound_is_not_split(self, runner, monkeypatch, fmt):
+        # past the table bound nothing limits the upper half's bytes, so no
+        # child runs and no temporary file takes them: this process writes all
+        args = ["gen", "--n-max", "101", "--method", "beatty", "--format", fmt]
+        split = runner.invoke(main, args)
+        assert split.exit_code == 0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a fork or a temporary file past the table bound")
+
+        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+        monkeypatch.setattr(wythoff.cli, "TemporaryFile", refused)
+        monkeypatch.setattr(os, "fork", refused)
+        whole = runner.invoke(main, args)
+        assert whole.exit_code == 0, whole.exception
+        assert whole.stdout == split.stdout
+
     def test_solver_ceiling_exits_three(self, runner, monkeypatch):
         monkeypatch.setattr(wythoff.game, "_SOLVE_CAP", 100)
         r = runner.invoke(main, ["classify", "5", "5", "--oracle", "brute", "--game-cap", "101"])
@@ -586,15 +604,18 @@ class TestOutputFailures:
         assert r.stdout == "n,p,q\n1,1,2\n2,3,5\n"
         assert r.stderr == "error: [Errno 28] No space left on device\n"
 
-    def test_closed_pipe_exits_141_quietly(self):
+    @staticmethod
+    def close_after_first_line(argv, timeout):
+        """Run argv, close its stdout after the first line; its exit code,
+        seconds from the close to its end, and stderr.
+
+        The run has its own session, and nothing of it may outlive it: a
+        forked child is reaped, not orphaned.
+        """
         src = str(Path(wythoff.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        # ~500 MB of csv: writes go on long after the close, and the forked
-        # child writes its 5 x 10^6 rows to a file, where no closed pipe stops
-        # it; the failing parent must SIGKILL it, not wait for it
-        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
         with subprocess.Popen(
-            [sys.executable, "-m", "wythoff.cli", *args],
+            argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path},
@@ -604,14 +625,38 @@ class TestOutputFailures:
                 assert proc.stdout.readline() == b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
                 proc.stdout.close()
                 start = time.monotonic()
-                code = proc.wait(timeout=120)
+                code = proc.wait(timeout=timeout)
                 elapsed = time.monotonic() - start
-                # nothing of the session is left: the child was reaped, not orphaned
                 with pytest.raises(ProcessLookupError):
                     os.killpg(proc.pid, 0)
             finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
-            assert proc.stderr.read() == b""
-        assert code == 141
-        assert elapsed < 5
+            return code, elapsed, proc.stderr.read()
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # ~500 MB of csv: writes go on long after the close, and the forked
+        # child writes its 5 x 10^6 rows to a file, where no closed pipe
+        # stops it; the failing parent SIGKILLs it, where waiting took ~7 s
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
+        argv = [sys.executable, "-m", "wythoff.cli", *args]
+        code, elapsed, stderr = self.close_after_first_line(argv, timeout=120)
+        assert (code, stderr) == (141, b"")
+        assert elapsed < 2
+
+    def test_closed_pipe_stops_a_stalled_child(self):
+        # the child never ends its half, so only the failing parent's SIGKILL
+        # lets the command end at all; a parent that waits for it times out
+        stalled = (
+            "import sys, tempfile, time\n"
+            "import wythoff.cli\n"
+            "def stalled(*args, **kwargs):\n"
+            "    spill = tempfile.TemporaryFile(*args, **kwargs)\n"
+            "    spill.writelines = lambda lines: time.sleep(600)\n"
+            "    return spill\n"
+            "wythoff.cli.TemporaryFile = stalled\n"
+            "wythoff.cli.main()\n"
+        )
+        args = ["gen", "--n-max", "1000000", "--method", "both", "--format", "csv"]
+        code, _, stderr = self.close_after_first_line([sys.executable, "-c", stalled, *args], 30)
+        assert (code, stderr) == (141, b"")
