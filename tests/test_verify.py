@@ -1,6 +1,7 @@
 """The identity registry, report plumbing, and fault-injection self-test."""
 
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -483,6 +484,37 @@ class TestCorruptedTable:
         getattr(corrupt, array)[index] += delta
         reports = [verify_identity(i, 1000, corrupt) for i in TABLE_IDS]
         assert any(not r.passed for r in reports)
+
+    def test_every_single_entry_corruption_at_200(self):
+        # every entry of p and q, each shifted by each delta: 2,400 tables.
+        # The counts show an identity blunted on one sequence even where
+        # another still catches the same corruption; the digest pins every
+        # report, so a lookup that reads a different counterexample shows too
+        pristine = build_recursive(200)
+        tables = [REGISTRY[i] for i in TABLE_IDS]
+        caught = dict.fromkeys(TABLE_IDS, 0)
+        sweep = []
+        for seq in ("p", "q"):
+            for k in range(1, 201):
+                for delta in (-1, 1, -2, 2, -(10**20), 10**20):
+                    corrupt = pristine.copy()
+                    getattr(corrupt, seq)[k] += delta
+                    reports = wythoff.verify._reports(tables, {"table": 200}, corrupt)
+                    # _reports turns an engine error into a "no error" counterexample
+                    assert all(
+                        ce.expected != "no error" for r in reports for ce in r.counterexamples
+                    ), (seq, k, delta)
+                    assert any(not r.passed for r in reports), (seq, k, delta)
+                    for r in reports:
+                        caught[r.identity_id] += not r.passed
+                    sweep.append([seq, k, delta, [r.to_dict() for r in reports]])
+        assert caught == {
+            "L1": 948, "C2": 948, "L2": 1939, "L3": 1046, "C-dq": 1046, "C-no3p": 152,
+            "L4": 1770, "L5": 1196, "C3": 1197, "C-qp": 1760, "L-pq": 1124, "C-pair": 1432,
+            "C-final": 1370, "L-E": 800, "E-zero": 1200,
+        }
+        digest = hashlib.sha256(json.dumps(sweep).encode()).hexdigest()
+        assert digest == "4eaca92305f949f17b6636307a6c38b3748b7a5bf362a568d96709f290536607"
 
     def test_lookup_outside_table_is_a_counterexample(self):
         corrupt = PRISTINE_1000.copy()
