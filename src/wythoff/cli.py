@@ -46,7 +46,6 @@ from collections import Counter
 from contextlib import nullcontext
 from itertools import chain, islice
 from tempfile import TemporaryFile
-from typing import Iterable
 
 import click
 
@@ -59,7 +58,7 @@ from .verify import REGISTRY, _in_child, report_text, verify_all, verify_identit
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
-# Encodes one json row; _write_json indents it to its depth in the payload.
+# Encodes one json row; _json_line indents it to its depth in the payload.
 _JSON_ROW = json.JSONEncoder(indent=2)
 
 
@@ -161,11 +160,6 @@ def _write(stream, fmt, head, lines) -> None:
     stream.writelines(lines)
     if fmt == "json":
         stream.write("\n  ]\n}\n" if first else "]\n}\n")
-
-
-def _write_json(stream, command, arguments, row_dicts: Iterable[dict]) -> None:
-    """The bytes of json.dump(payload, indent=2), written one row at a time."""
-    _write(stream, "json", _json_head(command, arguments), map(_json_line, row_dicts))
 
 
 def _output(out):
@@ -373,7 +367,8 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
             line = _line_form(fmt, headers)
             _write(stream, fmt, line % tuple(headers), map(line.__mod__, rows))
         else:
-            _write_json(stream, "verify", arguments, (r.to_dict() for r in reports))
+            rows = (r.to_dict() for r in reports)
+            _write(stream, fmt, _json_head("verify", arguments), map(_json_line, rows))
         _summary(
             stream,
             fmt,

@@ -2,8 +2,8 @@
 
 Every structural fact the package relies on is registered here as a
 named identity that checks its maximal valid sub-range of [1, n_max] and
-reports counterexamples.  Each table identity is one declared rule: a
-range rule giving the last n it may check, and a per-n rule, and one
+reports counterexamples.  Each table identity declares its per-n rule,
+and its range rule and proof where they differ from the defaults; one
 shared scan walks every such range.  Only the partition identity L2,
 which walks values rather than indices, keeps its own loop.  Every
 identity caps its counterexamples through the same helper.
@@ -26,8 +26,8 @@ first requires p and q to cover n_max, as ``islice`` and ``map`` quietly
 stop at a list's end, so no proof or range rule reads a short table.
 
 The rules read only the public sequence arrays, so a corrupted table
-entry is always visible to them, and a lookup the corruption sends
-outside the table becomes a counterexample.
+entry is always visible to them, and a lookup it sends outside the
+table, past the end or below 1 (``_at``), becomes a counterexample.
 A corrupted table therefore yields failed reports, never an exception;
 `fault_injected_reports` turns that into a self-test of the suite itself.
 
@@ -138,9 +138,15 @@ def _index_bound(values: list[int], n_max: int) -> int:
 
 
 # A per-n rule returns None where its identity holds and the pair
-# (expected, actual) where it fails.  A lookup whose index falls outside
-# the table fails with _OUTSIDE instead of raising or wrapping around.
+# (expected, actual) where it fails.  _scan reports an IndexError as _OUTSIDE:
+# a list raises one past its end, and _at one below 1, where a list wraps.
 _OUTSIDE = ("index inside the table", "index outside the table")
+
+
+def _at(values: list[int], i: int) -> int:
+    if i < 1:
+        raise IndexError(i)
+    return values[i]
 
 
 def _scan(rule: Callable, hi: int, p: list[int], q: list[int], n_max: int):
@@ -179,42 +185,6 @@ def _settled(proof: Callable, table: PairTable, n_max: int, shared: dict) -> boo
     if proof not in shared:
         shared[proof] = _proved(proof, table.p, table.q, n_max)
     return shared[proof]
-
-
-def _table_rule(hi: Callable[[PairTable, int], int], rule: Callable, proof: Callable) -> Callable:
-    """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
-
-    A true ``proof(p, q, n_max)`` is the report, with no counterexamples.
-    Otherwise the reference rule runs on every n and names them.
-    ``_settled`` checks the table's coverage before ``hi`` reads it, and
-    runs each proof once per registry run.
-    """
-
-    def check(table: PairTable, n_max: int, shared: dict):
-        settled = _settled(proof, table, n_max, shared)
-        top = hi(table, n_max)
-        return 1, top, [] if settled else _capped(_scan(rule, top, table.p, table.q, n_max))
-
-    return check
-
-
-def _l5_rule(n: int, p: list[int], q: list[int], m: int):
-    """L5 by binary search for n among the lower values p[1..m]."""
-    i = bisect_left(p, n, 1, m + 1)
-    member = i <= m and p[i] == n
-    if (p[n + 1] - p[n] == 2) == member:
-        return None
-    return "step 2 iff n in lower sequence", f"step={p[n + 1] - p[n]}, member={member}"
-
-
-def _c3_rule(n: int, p: list[int], q: list[int], m: int):
-    """C3 by binary search over p[1..n].
-
-    The lower values up to n are the p(i) <= n, all with i <= n as p(i) >= i.
-    """
-    if (want := bisect_right(p, n, 1, n + 1) + n) == (got := p[n + 1]):
-        return None
-    return want, got
 
 
 # the step of p after n, indexed by whether n is a lower value
@@ -271,10 +241,6 @@ def _error_rule(allowed: tuple[int, ...], expected: int | str) -> Callable:
     )
 
 
-_WIDE_GAP_RULE = _error_rule((-1, 0, 1), "e in {-1, 0, 1}")
-_NONZERO_GAP_RULE = _error_rule((0,), 0)
-
-
 def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
     """E-zero on [1, n_max], p(n) = floor(n*phi); it implies L-E there.
 
@@ -296,6 +262,44 @@ def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
         all(map(eq, islice(p, 1, n_max + 1), map(rshift, accumulate(repeat(t, n_max)), repeat(k))))
         for t in (s, s + 1)
     )
+
+
+def _table_rule(rule: Callable, hi=lambda t, m: m - 1, proof=_step_proof) -> Callable:
+    """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
+
+    A true ``proof(p, q, n_max)`` is the report, with no counterexamples.
+    Otherwise the reference rule runs on every n and names them.
+    ``_settled`` checks the table's coverage before ``hi`` reads it, and
+    runs each proof once per registry run.
+    """
+
+    def check(table: PairTable, n_max: int, shared: dict):
+        settled = _settled(proof, table, n_max, shared)
+        top = hi(table, n_max)
+        return 1, top, [] if settled else _capped(_scan(rule, top, table.p, table.q, n_max))
+
+    return check
+
+
+@_table_rule
+def _l5_check(n: int, p: list[int], q: list[int], m: int):
+    """L5 by binary search for n among the lower values p[1..m]."""
+    i = bisect_left(p, n, 1, m + 1)
+    member = i <= m and p[i] == n
+    if (p[n + 1] - p[n] == 2) == member:
+        return None
+    return "step 2 iff n in lower sequence", f"step={p[n + 1] - p[n]}, member={member}"
+
+
+@_table_rule
+def _c3_check(n: int, p: list[int], q: list[int], m: int):
+    """C3 by binary search over p[1..n].
+
+    The lower values up to n are the p(i) <= n, all with i <= n as p(i) >= i.
+    """
+    if (want := bisect_right(p, n, 1, n + 1) + n) == (got := p[n + 1]):
+        return None
+    return want, got
 
 
 def _partition(table: PairTable, n_max: int, shared: dict):
@@ -351,86 +355,69 @@ def _prime_gap_claim(prime_n_max: int):
     return 3, prime_n_max, _capped(ces)
 
 
-# One row per identity.  A table row pairs a range rule, the last n it may
-# check without reading past n_max, with its per-n rule.
-_IDENTITIES = (
+# One row per identity.  A table row gives its per-n rule, then its range
+# rule, the last n it may check without reading past n_max, and its proof
+# where they differ from _table_rule's defaults.
+_TABLE_IDENTITIES = (
     Identity("L1", "lower sequence strictly increasing", "table", _table_rule(
-        lambda t, m: m - 1,
         lambda n, p, q, m: None if p[n] < p[n + 1] else (f"> {p[n]}", p[n + 1]),
-        _step_proof,
     )),
     Identity("C2", "no two adjacent integers in the upper sequence", "table", _table_rule(
-        lambda t, m: m - 1,
         lambda n, p, q, m: None if (gap := q[n + 1] - q[n]) >= 2 else ("gap >= 2", gap),
-        _step_proof,
     )),
     Identity("L2", "the two sequences partition the positive integers", "table", _partition),
     Identity("L3", "lower-sequence steps are 1 or 2", "table", _table_rule(
-        lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := p[n + 1] - p[n]) in (1, 2) else ("step in {1, 2}", s),
-        _step_proof,
     )),
     Identity("C-dq", "upper-sequence steps are 2 or 3", "table", _table_rule(
-        lambda t, m: m - 1,
         lambda n, p, q, m: None if (s := q[n + 1] - q[n]) in (2, 3) else ("step in {2, 3}", s),
-        _step_proof,
     )),
     Identity("C-no3p", "no three consecutive integers in the lower sequence", "table", _table_rule(
-        lambda t, m: m - 2,
         lambda n, p, q, m: (
             None if p[n + 1] != p[n] + 1 or p[n + 2] != p[n] + 2
             else ("no three consecutive", f"{p[n]}, {p[n] + 1}, {p[n] + 2}")
         ),
-        _step_proof,
+        lambda t, m: m - 2,
     )),
     Identity("L4", "q(n) = p(p(n)) + 1", "table", _table_rule(
+        lambda n, p, q, m: None if (want := _at(p, p[n]) + 1) == (got := q[n]) else (want, got),
         lambda t, m: _index_bound(t.p, m),
-        lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
-            None if (want := p[p[n]] + 1) == (got := q[n]) else (want, got)
-        ),
-        _step_proof,
     )),
-    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _table_rule(
-        lambda t, m: m - 1, _l5_rule, _step_proof,
-    )),
-    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _table_rule(
-        lambda t, m: m - 1, _c3_rule, _step_proof,
-    )),
+    Identity("L5", "step after n is 2 exactly when n is a lower value", "table", _l5_check),
+    Identity("C3", "p(n+1) = n + 1 + |{i <= n : i in lower sequence}|", "table", _c3_check),
     Identity("C-qp", "q(p(n)) = p(n) + q(n) - 1", "table", _table_rule(
-        lambda t, m: _index_bound(t.p, m),
-        lambda n, p, q, m: _OUTSIDE if p[n] < 1 else (
-            None if (want := p[n] + q[n] - 1) == (got := q[p[n]]) else (want, got)
+        lambda n, p, q, m: (
+            None if (want := p[n] + q[n] - 1) == (got := _at(q, p[n])) else (want, got)
         ),
-        _step_proof,
+        lambda t, m: _index_bound(t.p, m),
     )),
     Identity("L-pq", "p(q(n)) = p(n) + q(n)", "table", _table_rule(
+        lambda n, p, q, m: None if (want := p[n] + q[n]) == (got := _at(p, q[n])) else (want, got),
         lambda t, m: _index_bound(t.q, m),
-        lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
-            None if (want := p[n] + q[n]) == (got := p[q[n]]) else (want, got)
-        ),
-        _step_proof,
     )),
     Identity("C-pair", "p(q(n)) = p(n) + q(n) and q(q(n)) = p(n) + 2q(n)", "table", _table_rule(
-        lambda t, m: _index_bound(t.q, m),
-        lambda n, p, q, m: _OUTSIDE if q[n] < 1 else (
-            None if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (p[q[n]], q[q[n]]))
+        lambda n, p, q, m: (
+            None
+            if (want := (p[n] + q[n], p[n] + 2 * q[n])) == (got := (_at(p, q[n]), _at(q, q[n])))
             else (str(want), str(got))
         ),
-        _step_proof,
+        lambda t, m: _index_bound(t.q, m),
     )),
     Identity("C-final", "p(q(n)) = q(p(n)) + 1", "table", _table_rule(
-        lambda t, m: _index_bound(t.q, m),
-        lambda n, p, q, m: _OUTSIDE if p[n] < 1 or q[n] < 1 else (
-            None if (want := q[p[n]] + 1) == (got := p[q[n]]) else (want, got)
+        lambda n, p, q, m: (
+            None if (want := _at(q, p[n]) + 1) == (got := _at(p, q[n])) else (want, got)
         ),
-        _step_proof,
+        lambda t, m: _index_bound(t.q, m),
     )),
     Identity("L-E", "recursive minus closed form lies in {-1, 0, 1}", "table", _table_rule(
-        lambda t, m: m, _WIDE_GAP_RULE, _gap_proof,
+        _error_rule((-1, 0, 1), "e in {-1, 0, 1}"), lambda t, m: m, _gap_proof,
     )),
     Identity("E-zero", "recursive equals closed form exactly", "table", _table_rule(
-        lambda t, m: m, _NONZERO_GAP_RULE, _gap_proof,
+        _error_rule((0,), 0), lambda t, m: m, _gap_proof,
     ), conjecture=True),
+)
+
+_IDENTITIES = _TABLE_IDENTITIES + (
     Identity("game-equiv", "retrograde losing set equals the pair set", "game", _game_equivalence),
     Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _prime_gap_claim),
 )
@@ -573,15 +560,14 @@ def verify_all(
     if n_max < 1 or game_cap < 1 or prime_n_max < 1:
         raise RangeError("all range arguments must be >= 1")
     bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
-    tables = [ident for ident in _IDENTITIES if ident.kind == "table"]
     engines = [ident for ident in _IDENTITIES if ident.kind != "table"]
     with _in_child(lambda: _reports(engines, bounds)) as engine_reports:
         try:
             table = build_recursive(n_max)
         except WythoffError as exc:
-            reports = [_failed(ident, exc) for ident in tables]
+            reports = [_failed(ident, exc) for ident in _TABLE_IDENTITIES]
         else:
-            reports = _reports(tables, bounds, table)
+            reports = _reports(_TABLE_IDENTITIES, bounds, table)
         table = None  # the inline game and prime engines run without it resident
         return reports + engine_reports()
 
@@ -601,8 +587,7 @@ def fault_injected_reports(
         raise RangeError(f"index {index} outside [1, {n_max}]")
     corrupt = build_recursive(n_max)
     corrupt.p[index] += delta
-    tables = (ident for ident in _IDENTITIES if ident.kind == "table")
-    return _reports(tables, {"table": n_max}, corrupt)
+    return _reports(_TABLE_IDENTITIES, {"table": n_max}, corrupt)
 
 
 def report_text(report: VerificationReport) -> str:

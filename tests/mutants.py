@@ -45,6 +45,7 @@ CLI = "src/wythoff/cli.py"
 TESTS = "tests/test_verify.py::"
 PROOFS = TESTS + "TestProofs::"
 ENGINES = TESTS + "TestEngineCounterexamples::"
+SWEEP = TESTS + "TestCorruptedTable::test_every_single_entry_corruption_at_200"
 SEQUENCE_TESTS = "tests/test_sequences.py::"
 GAME_TESTS = "tests/test_game.py::"
 PRIME_TESTS = "tests/test_primes.py::"
@@ -111,6 +112,34 @@ MUTANTS = (
         "    return shared[proof]\n",
         "    return True\n",
         (TESTS + "TestFaultInjection",),
+    ),
+    # _at lets index 0 through: a composed lookup at p(n) = 0 or q(n) = 0
+    # reads the unused slot 0 instead of naming an index outside the table
+    (
+        VERIFY,
+        "    if i < 1:\n        raise IndexError(i)",
+        "    if i < 0:\n        raise IndexError(i)",
+        (SWEEP,),
+    ),
+    # the default range one longer: each rule that reads n + 1 also runs at
+    # n_max, so every report's hi moves
+    (
+        VERIFY,
+        "hi=lambda t, m: m - 1,",
+        "hi=lambda t, m: m,",
+        (
+            SWEEP,
+            SNAPSHOT + "[verify --all --n-max 2000 --game-cap 60 --prime-n-max 500 --format json]",
+            SNAPSHOT + "[verify --all --n-max 300 --game-cap 40 --prime-n-max 30 --format json]",
+        ),
+    ),
+    # the gap proof as the default: it reads only p, so a corrupted q passes
+    # every identity that leaves its reference rule to the default proof
+    (
+        VERIFY,
+        "proof=_step_proof)",
+        "proof=_gap_proof)",
+        (SWEEP,),
     ),
     # L2 off the proof path: its own loop runs on a genuine table
     (

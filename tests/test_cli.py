@@ -27,7 +27,7 @@ from wythoff import (
     build_recursive,
     sieve_limit_for,
 )
-from wythoff.cli import _write_json, main
+from wythoff.cli import _json_head, _write, main
 
 
 @pytest.fixture
@@ -519,7 +519,7 @@ class TestJsonLayout:
 
     def test_no_rows(self):
         stream = io.StringIO()
-        _write_json(stream, "gen", {"n_max": 0}, iter(()))
+        _write(stream, "json", _json_head("gen", {"n_max": 0}), iter(()))
         payload = {"meta": {"command": "gen", "arguments": {"n_max": 0}}, "rows": []}
         assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
 
