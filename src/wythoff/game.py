@@ -17,7 +17,8 @@ Three independent engines answer "who wins here?":
   ``(floor(d*phi), floor(d*phi^2))`` over d >= 0.
 * :func:`best_move` produces a winning move in O(1) by trying two move
   families, taking from both piles or from the larger one, each aimed
-  at its unique losing state by closed-form arithmetic alone.
+  at its unique losing state by closed-form arithmetic alone; the
+  take-from-B target is re-checked by the same integer test.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Outcome(Enum):
     WINNING = "winning"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     kind: MoveKind
     amount: int
@@ -59,7 +60,7 @@ class Move:
             raise IllegalMoveError(f"move amount must be >= 1, got {self.amount}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GameState:
     """Canonical game state: 0 <= a <= b."""
 
@@ -73,7 +74,7 @@ class GameState:
     @classmethod
     def of(cls, x: int, y: int) -> "GameState":
         """Canonicalize an unordered pair of pile sizes."""
-        return cls(min(x, y), max(x, y))
+        return cls(x, y) if x <= y else cls(y, x)
 
     @property
     def total(self) -> int:
@@ -230,10 +231,14 @@ def _pair_partner(v: int) -> int:
     return i
 
 
+def _losing(a: int, b: int) -> bool:
+    """Closed-form membership test for the pair 0 <= a <= b."""
+    return a == (beatty_p(b - a) if b > a else 0)
+
+
 def is_losing(state: GameState) -> bool:
     """Closed-form membership test for the losing set."""
-    d = state.diff
-    return state.a == (beatty_p(d) if d else 0)
+    return _losing(state.a, state.b)
 
 
 def classify_closed_form(state: GameState) -> Classification:
@@ -249,9 +254,10 @@ def best_move(state: GameState) -> Move:
     Two move families are tried.  Take-from-both aims at the losing
     state of difference d, so one kernel call both classifies the state
     and aims the move; take-from-B aims at the pair completing the
-    smaller pile and is re-verified with the closed-form test.  When the
-    smaller pile is a lower value p(i), the re-check asks for the p(i)
-    the partner search just computed, which the kernel's memo answers.
+    smaller pile and is re-checked by the integer test on the target
+    pair, with no state built.  When the smaller pile is a lower value
+    p(i), the re-check asks for the p(i) the partner search just
+    computed, which the kernel's memo answers.
 
     Take-from-A never wins first: were (x, b) losing with x < a, then
     x >= 1 and (x, b) = (p(k), q(k)) with k = b - x > d, so the losing
@@ -260,7 +266,7 @@ def best_move(state: GameState) -> Move:
     solver still searches all three lines.
     """
     a, b = state.a, state.b
-    d = state.diff
+    d = b - a
 
     target_a = beatty_p(d) if d else 0
     if a == target_a:
@@ -269,7 +275,8 @@ def best_move(state: GameState) -> Move:
         return Move(MoveKind.TAKE_BOTH, a - target_a)
 
     other = _pair_partner(a)
-    if other < b and is_losing(GameState.of(a, other)):
+    # the partner lies above a lower-value pile and below an upper one
+    if other < b and (_losing(a, other) if a <= other else _losing(other, a)):
         return Move(MoveKind.TAKE_B, b - other)
 
     raise NoWinningMoveError(

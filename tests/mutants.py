@@ -233,6 +233,30 @@ MUTANTS = (
         "i = beatty_p(v) - v",
         (GAME_TESTS + "TestPairPartner::test_matches_recursion",),
     ),
+    # canonicalization keeps the argument order, so (7, 3) is refused
+    (
+        GAME,
+        "return cls(x, y) if x <= y else cls(y, x)",
+        "return cls(x, y) if x <= y else cls(x, y)",
+        (GAME_TESTS + "TestStateAndMoves::test_canonicalization",),
+    ),
+    # best_move returns the take-from-B move without re-checking its target
+    (
+        GAME,
+        "    if other < b and (_losing(a, other) if a <= other else _losing(other, a)):",
+        "    if other < b:",
+        (
+            GAME_TESTS + "TestBestMove::test_take_b_recheck_refuses_a_wrong_partner",
+            GAME_TESTS + "TestBestMove::test_take_b_makes_four_kernel_calls",
+        ),
+    ),
+    # the re-check reads a partner below the smaller pile in the wrong order
+    (
+        GAME,
+        "else _losing(other, a)):",
+        "else _losing(a, other)):",
+        (GAME_TESTS + "TestBestMove::test_take_b_makes_four_kernel_calls[2-5]",),
+    ),
     # 1 counted as a composite
     (
         PRIMES,

@@ -1,5 +1,8 @@
 """Game rules, the retrograde solver, and the closed-form play engine."""
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 
 import pytest
@@ -64,6 +67,26 @@ class TestStateAndMoves:
     def test_move_amount_positive(self):
         with pytest.raises(IllegalMoveError):
             Move(MoveKind.TAKE_A, 0)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [(GameState(3, 5), "a"), (Move(MoveKind.TAKE_B, 4), "amount")],
+        ids=["state", "move"],
+    )
+    def test_value_semantics(self, value, field):
+        # states and moves are frozen, slotted values
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 1)
+        twin = dataclasses.replace(value)
+        assert twin is not value
+        assert twin == value and hash(twin) == hash(value)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is type(value)
+
+    def test_states_sort(self):
+        states = [GameState(3, 5), GameState(0, 9), GameState(3, 4)]
+        assert sorted(states) == [GameState(0, 9), GameState(3, 4), GameState(3, 5)]
 
     def test_enumeration_order(self):
         moves = legal_moves(GameState(1, 2))
@@ -269,11 +292,31 @@ class TestBestMove:
         assert best_move(GameState(4, 5)) == Move(MoveKind.TAKE_BOTH, 3)
         assert kernel_calls == [1]
 
-    def test_take_b_makes_four_kernel_calls(self, kernel_calls):
+    @pytest.mark.parametrize(
+        "state, move, calls",
+        [
+            # the smaller pile 2 is an upper value: its partner 1 lies below
+            (GameState(2, 5), Move(MoveKind.TAKE_B, 4), [3, 3, 1, 1]),
+            # the smaller pile 3 is a lower value: its partner 5 lies above
+            (GameState(3, 7), Move(MoveKind.TAKE_B, 2), [4, 4, 2, 2]),
+        ],
+        ids=["2-5", "3-7"],
+    )
+    def test_take_b_makes_four_kernel_calls(self, kernel_calls, state, move, calls):
         # one for the diagonal, then the smaller pile's partner and its
         # re-check; the larger pile's partner is never computed
-        assert best_move(GameState(2, 5)) == Move(MoveKind.TAKE_B, 4)
-        assert kernel_calls == [3, 3, 1, 1]
+        assert best_move(state) == move
+        assert kernel_calls == calls
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("a, b", [(2, 5), (3, 7)])
+    def test_take_b_recheck_refuses_a_wrong_partner(self, monkeypatch, a, b, shift):
+        # a partner search off by one aims at a winning state, which the
+        # re-check must refuse rather than return as the move
+        partner = wythoff.game._pair_partner
+        monkeypatch.setattr(wythoff.game, "_pair_partner", lambda v: partner(v) + shift)
+        with pytest.raises(NoWinningMoveError, match="classification inconsistent"):
+            best_move(GameState(a, b))
 
     def test_losing_state_raises(self):
         for a, b in [(0, 0), (1, 2), (3, 5)]:
