@@ -1,95 +1,70 @@
 """Complementary golden-ratio sequences, the take-away game they solve,
-a prime analogue, and a machine-checked identity suite."""
+a prime analogue, and a machine-checked identity suite.
 
-from .errors import (
-    CapacityError,
-    IllegalMoveError,
-    NoWinningMoveError,
-    RangeError,
-    UnknownIdentityError,
-    WythoffError,
-)
-from .game import (
-    Classification,
-    GameState,
-    Move,
-    MoveKind,
-    Outcome,
-    RetrogradeTable,
-    apply_move,
-    best_move,
-    classify_closed_form,
-    is_losing,
-    legal_moves,
-    solve_retrograde,
-)
-from .primes import (
-    PrimeClaimEvidence,
-    PrimeGapTable,
-    build_prime_gap,
-    check_prime_claim,
-    sieve_limit_for,
-)
-from .sequences import (
-    Membership,
-    PairTable,
-    SeqKind,
-    beatty_p,
-    beatty_q,
-    build_recursive,
-)
-from .verify import (
-    IDENTITY_IDS,
-    REGISTRY,
-    Counterexample,
-    Identity,
-    VerificationReport,
-    fault_injected_reports,
-    report_text,
-    verify_all,
-    verify_identity,
-)
+Each public name loads its module on first use (PEP 562), so
+``import wythoff.game`` loads only ``errors``, ``sequences`` and ``game``.
+"""
+
+from importlib import import_module
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "CapacityError",
-    "Classification",
-    "Counterexample",
-    "GameState",
-    "IDENTITY_IDS",
-    "Identity",
-    "IllegalMoveError",
-    "Membership",
-    "Move",
-    "MoveKind",
-    "NoWinningMoveError",
-    "Outcome",
-    "PairTable",
-    "PrimeClaimEvidence",
-    "PrimeGapTable",
-    "RangeError",
-    "REGISTRY",
-    "RetrogradeTable",
-    "SeqKind",
-    "UnknownIdentityError",
-    "VerificationReport",
-    "WythoffError",
-    "apply_move",
-    "beatty_p",
-    "beatty_q",
-    "best_move",
-    "build_prime_gap",
-    "build_recursive",
-    "check_prime_claim",
-    "classify_closed_form",
-    "fault_injected_reports",
-    "is_losing",
-    "legal_moves",
-    "report_text",
-    "sieve_limit_for",
-    "solve_retrograde",
-    "verify_all",
-    "verify_identity",
-    "__version__",
-]
+# each public name, under the module that defines it
+_EXPORTS = {
+    "errors": (
+        "CapacityError",
+        "IllegalMoveError",
+        "NoWinningMoveError",
+        "RangeError",
+        "UnknownIdentityError",
+        "WythoffError",
+    ),
+    "game": (
+        "Classification",
+        "GameState",
+        "Move",
+        "MoveKind",
+        "Outcome",
+        "RetrogradeTable",
+        "apply_move",
+        "best_move",
+        "classify_closed_form",
+        "is_losing",
+        "legal_moves",
+        "solve_retrograde",
+    ),
+    "primes": (
+        "PrimeClaimEvidence",
+        "PrimeGapTable",
+        "build_prime_gap",
+        "check_prime_claim",
+        "sieve_limit_for",
+    ),
+    "sequences": ("Membership", "PairTable", "SeqKind", "beatty_p", "beatty_q", "build_recursive"),
+    "verify": (
+        "IDENTITY_IDS",
+        "REGISTRY",
+        "Counterexample",
+        "Identity",
+        "VerificationReport",
+        "fault_injected_reports",
+        "report_text",
+        "verify_all",
+        "verify_identity",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    """Import the module defining a public name, then keep the name here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,11 @@ prime analogue.  Machine formats (csv, json) are bit-stable: fixed
 field order, integers only, no timings; summaries and diagnostics go to
 stderr so the data stream stays parseable.
 
+Each command imports the engines it runs when it runs: ``verify`` the
+identity registry, ``classify`` and ``best-move`` the game, ``primes``
+the sieve.  So ``gen``, ``error-term`` and ``--help`` load only the
+sequences and the fork helper, and never compile the registry.
+
 Every format streams: rows go from their producer to the writer one at
 a time.  ``gen --method recursive``/``both`` and ``error-term`` stream
 the mex recursion itself, never a pair table, so they hold only its
@@ -50,11 +55,9 @@ from tempfile import TemporaryFile
 import click
 
 from . import sequences
+from ._fork import _in_child
 from .errors import CapacityError, WythoffError
-from .game import GameState, Move, MoveKind, best_move, is_losing, solve_retrograde
-from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
 from .sequences import beatty_p, lower_values
-from .verify import REGISTRY, _in_child, report_text, verify_all, verify_identity
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
@@ -275,8 +278,10 @@ def _summary(stream, fmt, line: str) -> None:
         click.echo(line, err=True)
 
 
-def _describe_move(move: Move, x: int, y: int) -> str:
+def _describe_move(move, x: int, y: int) -> str:
     """Render a move against the user's original pile order."""
+    from .game import MoveKind
+
     if move.kind is MoveKind.TAKE_BOTH:
         return f"take {move.amount} from both"
     smaller_is_first = x <= y
@@ -334,6 +339,8 @@ def gen(n_max, method, fmt, out):
 @_OUT
 def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
     """Check registered identities; exit 1 if any report fails."""
+    from .verify import REGISTRY, report_text, verify_all, verify_identity
+
     if run_all == (identity_id is not None):
         raise click.UsageError("pass exactly one of --identity ID or --all")
     if run_all:
@@ -395,6 +402,8 @@ def classify(a, b, oracle, game_cap):
     A and B may have at most 4,300 digits, CPython's default limit on
     converting a string to an int.
     """
+    from .game import GameState, is_losing, solve_retrograde
+
     state = GameState.of(a, b)
     if oracle == "closed":
         click.echo("LOSING" if is_losing(state) else "WINNING")
@@ -420,6 +429,8 @@ def best_move_cmd(a, b):
     A and B may have at most 4,300 digits, CPython's default limit on
     converting a string to an int.
     """
+    from .game import GameState, best_move, is_losing
+
     state = GameState.of(a, b)
     if is_losing(state):
         click.echo("position is losing")
@@ -453,6 +464,8 @@ def error_term_cmd(n_max, fmt, out):
 @_OUT
 def primes(n_max, sieve_limit, fmt, out):
     """Check the composite-index identity for prime indices 3..N."""
+    from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
+
     limit = sieve_limit if sieve_limit is not None else sieve_limit_for(n_max)
     table = build_prime_gap(limit)
     # an undersized sieve fails here, before any output (see check_prime_claim)

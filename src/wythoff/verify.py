@@ -35,8 +35,9 @@ A corrupted table therefore yields failed reports, never an exception;
 while the parent builds the table and settles the table identities, so
 on two cores the table chain alone is the critical path.
 `verify_identity` and `fault_injected_reports` stay in one process.
-The fork helper, `_in_child`, also writes the upper half of the CLI's
-row exports.
+The fork helper, `_in_child`, lives in its own small module, so the
+CLI's row exports, which write their upper half through it, never load
+this registry.
 
 Registry identifiers are short stable codes (L1, C2, ..., game-equiv,
 prime-claim) used verbatim by the command-line interface; descriptions
@@ -45,10 +46,8 @@ carry the human-readable statement.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
@@ -56,6 +55,7 @@ from operator import eq, rshift, sub
 from time import perf_counter
 from typing import Callable, Iterable
 
+from ._fork import _in_child
 from .errors import RangeError, UnknownIdentityError, WythoffError
 from .game import solve_retrograde
 from .primes import build_prime_gap, check_prime_claim, sieve_limit_for
@@ -464,60 +464,6 @@ def _report(
         lo, hi, ces = ident.check(bound)
     elapsed = perf_counter() - start
     return VerificationReport(ident.identity_id, lo, hi, not ces, tuple(ces), elapsed)
-
-
-@contextmanager
-def _in_child(work: Callable):
-    """Start work() in a forked child; yield a function returning its result.
-
-    The child sends work()'s result, or the exception it raised, back
-    through a pipe as a pickle, and always leaves through ``os._exit``, so
-    it never unwinds into its caller's frames or flushes their buffers a
-    second time.  A parent that fails first, by any exception, SIGKILLs the
-    child before it reaps it, so it never waits on a child blocked on a
-    full pipe or still writing a file no reader will see.  Where
-    ``os.fork`` is missing, work() runs inline when its result is asked for.
-    """
-    if not hasattr(os, "fork"):
-        yield work
-        return
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, work())
-            except BaseException as exc:  # raised again in the parent
-                outcome = (False, exc)
-            data = pickle.dumps(outcome)  # all or nothing reaches the pipe
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-
-            def result():
-                try:
-                    done, value = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError("the forked child ended without a result") from None
-                if not done:
-                    raise value
-                return value
-
-            yield result
-    except BaseException:
-        import signal  # only on this path: its import costs the benchmark's peak RSS
-
-        os.kill(pid, signal.SIGKILL)  # an unreaped child, even one that has exited, is there
-        raise
-    finally:
-        os.waitpid(pid, 0)
 
 
 def _failed(ident: Identity, exc: WythoffError) -> VerificationReport:

@@ -10,8 +10,9 @@ matches exactly once, or a node that errors instead of failing exits 1.
 
 The entries cover the whole package: the registry's proofs and the
 coverage check ahead of them (a proof that passes where its reference
-rule would fail hides a counterexample), the engine identities, the integer kernel and its memo,
-the recursion, the game engines, the sieve and the command line.  A later
+rule would fail hides a counterexample), the engine identities, the
+integer kernel and its memo, the recursion, the game engines, the sieve,
+the command line and the package's imports on first use.  A later
 change that weakens one of the killing tests shows here.  A change that
 adds a proof, a guard or a branch adds its mutants.  A mutant that
 survives is fixed in the tests, not deleted from the list; a mutant no
@@ -42,6 +43,8 @@ SEQUENCES = "src/wythoff/sequences.py"
 GAME = "src/wythoff/game.py"
 PRIMES = "src/wythoff/primes.py"
 CLI = "src/wythoff/cli.py"
+FORK = "src/wythoff/_fork.py"
+INIT = "src/wythoff/__init__.py"
 TESTS = "tests/test_verify.py::"
 PROOFS = TESTS + "TestProofs::"
 ENGINES = TESTS + "TestEngineCounterexamples::"
@@ -50,6 +53,7 @@ SEQUENCE_TESTS = "tests/test_sequences.py::"
 GAME_TESTS = "tests/test_game.py::"
 PRIME_TESTS = "tests/test_primes.py::"
 CLI_TESTS = "tests/test_cli.py::"
+API_TESTS = "tests/test_api.py::"
 SNAPSHOT = "tests/test_snapshot.py::test_cli_output_bytes"
 
 MUTANTS = (
@@ -449,13 +453,27 @@ MUTANTS = (
     # a failing parent waits for its forked child instead of stopping it: a
     # closed stdout leaves the child writing its 5 x 10^6 rows to a file
     (
-        VERIFY,
+        FORK,
         "        os.kill(pid, signal.SIGKILL)",
         "        pass",
         (
             CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",
             CLI_TESTS + "TestOutputFailures::test_closed_pipe_stops_a_stalled_child",
         ),
+    ),
+    # an eager registry import: the game API and the CLI compile verify.py
+    # again, and the game API loads the sieve with it
+    (
+        INIT,
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom .verify import REGISTRY\n",
+        (API_TESTS + "test_import_loads_only_what_it_runs[game]",),
+    ),
+    (
+        CLI,
+        "from ._fork import _in_child\n",
+        "from ._fork import _in_child\nfrom .verify import REGISTRY\n",
+        (API_TESTS + "test_import_loads_only_what_it_runs[cli]",),
     ),
     # --out is no longer checked before the work.  Not listed: dropping
     # os.access(folder, os.W_OK) from _writable_dir, which only a non-root

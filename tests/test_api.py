@@ -1,7 +1,11 @@
-"""The public surface: the names ``wythoff`` exports and the documented example."""
+"""The public surface: the names ``wythoff`` exports, what importing it loads, and the
+documented example."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,40 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in wythoff.__all__:
         assert getattr(wythoff, name) is not None, name
+
+
+def _fresh(code: str) -> str:
+    """What code prints in a fresh interpreter that imports this package."""
+    src = str(Path(wythoff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+        check=True,
+    ).stdout
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        ("wythoff.game", {"wythoff.verify", "wythoff.primes", "wythoff.cli", "click"}),
+        ("wythoff.cli", {"wythoff.verify", "wythoff.game", "wythoff.primes"}),
+    ],
+    ids=["game", "cli"],
+)
+def test_import_loads_only_what_it_runs(module, unloaded):
+    # the game API and the CLI's startup never compile the identity registry
+    loaded = _fresh(f"import sys, {module}; print(*sys.modules)").split()
+    assert not unloaded & set(loaded)
+
+
+def test_dir_lists_names_not_loaded_yet():
+    code = "import wythoff\nfrom wythoff import verify_all\n"
+    code += "print(*set(wythoff.__all__) - set(dir(wythoff)))"
+    assert _fresh(code) == "\n"
 
 
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])

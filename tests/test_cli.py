@@ -19,7 +19,9 @@ from click.testing import CliRunner
 import wythoff
 import wythoff.cli
 import wythoff.game
+import wythoff.primes
 import wythoff.sequences
+import wythoff.verify
 from wythoff import (
     Counterexample,
     VerificationReport,
@@ -153,7 +155,7 @@ class TestVerify:
 
     def test_failure_exits_one(self, runner, monkeypatch):
         failed = VerificationReport("L1", 1, 9, False, (), 0.0)
-        monkeypatch.setattr("wythoff.cli.verify_identity", lambda *a, **k: failed)
+        monkeypatch.setattr("wythoff.verify.verify_identity", lambda *a, **k: failed)
         r = runner.invoke(main, ["verify", "--identity", "L1"])
         assert r.exit_code == 1
         assert "FAILED" in r.stdout
@@ -334,7 +336,7 @@ class TestPrimes:
             table.composites[1] = 5  # the 2nd composite, 6, is read only at n = 4
             return table
 
-        monkeypatch.setattr(wythoff.cli, "build_prime_gap", sieve)
+        monkeypatch.setattr(wythoff.primes, "build_prime_gap", sieve)
         args = ["primes", "--n-max", "4", "--sieve-limit", "100", "--format"]
         r = runner.invoke(main, [*args, "csv"])
         assert r.exit_code == 1
@@ -511,7 +513,7 @@ class TestJsonLayout:
     def test_nested_counterexamples(self, runner, monkeypatch):
         ces = (Counterexample(3, 4, "index outside the table"), Counterexample(9, 1, 2))
         failed = VerificationReport("L4", 1, 9, False, ces, 0.0)
-        monkeypatch.setattr("wythoff.cli.verify_identity", lambda *a, **k: failed)
+        monkeypatch.setattr("wythoff.verify.verify_identity", lambda *a, **k: failed)
         r = runner.invoke(main, ["verify", "--identity", "L4", "--format", "json"])
         assert r.exit_code == 1
         assert r.stdout == json.dumps(json.loads(r.stdout), indent=2) + "\n"
@@ -551,7 +553,7 @@ class TestOutputFailures:
         def refuse(*_):
             raise AssertionError("verify_all ran before --out was checked")
 
-        monkeypatch.setattr(wythoff.cli, "verify_all", refuse)
+        monkeypatch.setattr(wythoff.verify, "verify_all", refuse)
         target = tmp_path / "missing" / "rows.csv"
         r = runner.invoke(main, [*args, "--format", "csv", "--out", str(target)])
         assert r.exit_code == 2
@@ -568,7 +570,7 @@ class TestOutputFailures:
         def refuse(*_):
             raise AssertionError("verify_all ran before --out was checked")
 
-        monkeypatch.setattr(wythoff.cli, "verify_all", refuse)
+        monkeypatch.setattr(wythoff.verify, "verify_all", refuse)
         r = runner.invoke(main, [*args, "--format", "csv", "--out", ""])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)

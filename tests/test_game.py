@@ -57,6 +57,7 @@ def naive_solve(cap):
 class TestStateAndMoves:
     def test_canonicalization(self):
         assert GameState.of(7, 3) == GameState(3, 7)
+        assert GameState.of(7, 3).diff == 4
 
     def test_invalid_states(self):
         with pytest.raises(RangeError):
