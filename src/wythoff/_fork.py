@@ -21,7 +21,9 @@ def _in_child(work: Callable):
     second time.  A parent that fails first, by any exception, SIGKILLs the
     child before it reaps it, so it never waits on a child blocked on a
     full pipe or still writing a file no reader will see.  Where
-    ``os.fork`` is missing, work() runs inline when its result is asked for.
+    ``os.fork`` is missing, work() runs inline when its result is asked
+    for.  Only ``verify_all`` takes that fallback: without a fork the CLI
+    writes an export whole, as a split would then buy nothing.
     """
     if not hasattr(os, "fork"):
         yield work

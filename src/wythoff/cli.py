@@ -20,26 +20,27 @@ beatty`` runs in constant memory, and ``primes`` holds only its sieve.
 ``--format table`` runs its producer twice, once to measure the column
 widths and once to write.
 
-Rows are written on two cores, in two halves of the index range: a
-forked child writes the upper half to an unnamed temporary file while
-the parent writes the lower half, then copies the file in.  The file
-takes as much TMPDIR space as that half's bytes, RAM where TMPDIR is a
-tmpfs, which no process's RSS shows.  Each process holds what one writer
-would; peak RSS grows only by the ``pickle`` import that brings the
-child's result back.  Without ``os.fork`` one process writes both.  An
-export past the table bound, which only ``gen --method beatty`` runs,
-is not split: it streams from one process in constant memory, and
-TMPDIR holds at most the upper half of a 10^7-row export.
+Where ``os.fork`` exists, an export of 2 rows up to the table bound is
+written on two cores: a forked child writes the upper half of the index
+range to an unnamed temporary file while the parent writes the lower
+half, then copies the file in.  The file takes as much TMPDIR space as
+that half's bytes, at most the upper half of a 10^7-row export, RAM
+where TMPDIR is a tmpfs, which no process's RSS shows.  Each process
+holds what one writer would, plus the ``pickle`` import that brings the
+child's result back.  Every other export, without ``os.fork`` or past
+the bound (only ``gen --method beatty`` runs one), one process writes
+whole, with no temporary file.
 
 Every command checks what can fail before it opens stdout or ``--out``,
 so a failing command writes nothing.  Only an I/O error while writing,
-a full TMPDIR among them, can leave partial output.
+a full TMPDIR among them, or an interrupt can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
 directory is missing or not writable, is refused before any work), 3
-capacity limits (brute-force cap, sieve, table and solver ceilings), 141
-stdout closed by its reader, as a shell reports a writer killed by SIGPIPE.
+capacity limits (brute-force cap, sieve, table and solver ceilings), 130
+interrupted by SIGINT (Ctrl-C), 141 stdout closed by its reader, each as
+a shell reports a command killed by that signal.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _JSON_ROW = json.JSONEncoder(indent=2)
 
 
 class _EngineErrors(click.Group):
-    """Maps exceptions to the exit-code contract (2 usage or I/O, 3 capacity, 141 pipe)."""
+    """Maps exceptions to the exit-code contract (2 usage or I/O, 3 capacity, 130, 141)."""
 
     def invoke(self, ctx):
         try:
@@ -78,6 +79,8 @@ class _EngineErrors(click.Group):
             # the interpreter flushes stdout once more on exit; send that nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(141)
+        except KeyboardInterrupt:  # click would print "Aborted!" and exit 1
+            sys.exit(130)
         except (WythoffError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, CapacityError) else 2)
@@ -196,18 +199,18 @@ def _recursion(n_max: int, span: range):
 def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Counter:
     """Write the row tuples of rows(span) to --out or stdout, then summary(counts).
 
-    A child forked through _in_child writes the upper half of span to an
+    Where os.fork exists and span has 2 rows up to the table bound, a
+    child forked through _in_child writes the upper half of span to an
     unnamed temporary file, opened before the fork, while this process
     writes the lower half to the output, then copies the file in after it
     in 16 KiB chunks (a 64 KiB text chunk held four times that in
     passing).  The fork comes before either process calls rows(), so no
-    producer's state is copied.  Without os.fork the upper half is written
-    inline, after the lower.  A child's error, such as a full TMPDIR, is
-    raised here once the lower half is out.  A span of one row, or one
-    longer than the table bound, which only gen --method beatty reaches,
-    is written whole by this process, with no fork and no file.  So the
-    file never holds more than the upper half of a 10^7-row export: 230 MB
-    for a gen --method both csv, 760 MB for its json.
+    producer's state is copied.  A child's error, such as a full TMPDIR,
+    is raised here once the lower half is out.  Every other span, without
+    os.fork, of one row, or past the bound (only gen --method beatty gets
+    there), this process writes whole, with no fork and no file.  So the
+    file holds at most the upper half of a 10^7-row export: 230 MB for a
+    gen --method both csv, 760 MB for its json.
 
     rows(lower) is called before the output opens, so a producer that
     checks its ceiling on the call fails before any --out file exists.  A
@@ -216,11 +219,11 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     summary, each half counts its rows by their last field, and the
     summed counts go to summary() and are returned.
     """
-    # past the table bound only gen --method beatty runs: it streams here
-    # whole, where a split would spill without limit into TMPDIR
-    cut = len(span) if len(span) > sequences._TABLE_CAP else (len(span) + 1) // 2
+    # a split pays only where a child forks; past the table bound, where only
+    # gen --method beatty runs, its file would spill without limit into TMPDIR
+    split = hasattr(os, "fork") and len(span) <= sequences._TABLE_CAP
+    cut = (len(span) + 1) // 2 if split else len(span)
     lower, upper = span[:cut], span[cut:]
-    # an empty upper half, of one row or past the bound, forks nothing
     halves = _in_child if upper else nullcontext  # nullcontext(work) yields work itself
     if fmt == "json":
         head = _json_head(command, arguments)

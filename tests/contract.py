@@ -13,8 +13,8 @@ from the per-n reference rules and an identity stated wrongly yet
 settled by a shared proof shows.  The full-scale json, the
 fault-injection counterexamples, the 10^6-row ``gen --method both``
 csv, both as the CLI writes it by default, its upper half in a forked
-child, and with ``os.fork`` deleted, so one process writes both halves,
-the 10^6-row ``gen`` table and the 600,000-row ``primes`` csv, near the
+child, and with ``os.fork`` deleted, so one process writes the export
+whole, the 10^6-row ``gen`` table and the 600,000-row ``primes`` csv, near the
 sieve's bound, follow.
 
 Run from anywhere:

@@ -53,6 +53,7 @@ SEQUENCE_TESTS = "tests/test_sequences.py::"
 GAME_TESTS = "tests/test_game.py::"
 PRIME_TESTS = "tests/test_primes.py::"
 CLI_TESTS = "tests/test_cli.py::"
+UNSPLIT = CLI_TESTS + "TestCeilings::test_unsplit_where_no_child_takes_a_half"
 API_TESTS = "tests/test_api.py::"
 SNAPSHOT = "tests/test_snapshot.py::test_cli_output_bytes"
 
@@ -108,7 +109,10 @@ MUTANTS = (
         VERIFY,
         "return p[1] == 1 and steps == marks[1:].translate(_STEP_AFTER)",
         "return p[1] == 1 and steps[:-1] == marks[1:-1].translate(_STEP_AFTER)",
-        (PROOFS + "test_paired_shifts_leave_the_compositions_nothing",),
+        (
+            PROOFS + "test_paired_shifts_leave_the_compositions_nothing",
+            TESTS + "TestCorruptedTable::test_every_paired_shift_and_adjacent_swap_at_200",
+        ),
     ),
     # a memo that settles every identity unseen
     (
@@ -397,9 +401,17 @@ MUTANTS = (
     # spilled to a temporary file with no limit on its size
     (
         CLI,
-        "    cut = len(span) if len(span) > sequences._TABLE_CAP else (len(span) + 1) // 2",
-        "    cut = (len(span) + 1) // 2",
-        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[csv]",),
+        '    split = hasattr(os, "fork") and len(span) <= sequences._TABLE_CAP',
+        '    split = hasattr(os, "fork")',
+        (UNSPLIT + "[past-the-bound-csv]",),
+    ),
+    # an export split without os.fork: its upper half written inline to a
+    # temporary file, then copied back, for no parallelism
+    (
+        CLI,
+        '    split = hasattr(os, "fork") and len(span) <= sequences._TABLE_CAP',
+        "    split = len(span) <= sequences._TABLE_CAP",
+        (UNSPLIT + "[without-fork-csv]",),
     ),
     # an empty upper half forks all the same: for a table's widths, and for
     # its rows into a temporary file
@@ -407,13 +419,13 @@ MUTANTS = (
         CLI,
         "    halves = _in_child if upper else nullcontext",
         "    halves = _in_child",
-        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[table]",),
+        (UNSPLIT + "[past-the-bound-table]",),
     ),
     (
         CLI,
         "    if not upper:\n        write(",
         "    if False:\n        write(",
-        (CLI_TESTS + "TestCeilings::test_beatty_past_the_bound_is_not_split[csv]",),
+        (UNSPLIT + "[past-the-bound-csv]", UNSPLIT + "[without-fork-json]"),
     ),
     # the child's counts dropped: the histogram and the prime claim's
     # verdict see the lower half alone
@@ -434,6 +446,17 @@ MUTANTS = (
         (
             SNAPSHOT + "[gen --n-max 2000 --method both --format csv]",
             SNAPSHOT + "[primes --n-max 4 --format json]",
+        ),
+    ),
+    # an interrupt exits 1 with click's "Aborted!", as a failed verification does
+    (
+        CLI,
+        '        except KeyboardInterrupt:  # click would print "Aborted!" and exit 1\n'
+        "            sys.exit(130)\n",
+        "",
+        (
+            CLI_TESTS + "TestOutputFailures::test_interrupt_exits_130_quietly",
+            CLI_TESTS + "TestOutputFailures::test_sigint_exits_130_and_stops_the_child",
         ),
     ),
     # a closed stdout exits 1, not 141

@@ -385,22 +385,36 @@ class TestCeilings:
         assert r.stdout.splitlines()[-1] == "101,163,264"
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
-    def test_beatty_past_the_bound_is_not_split(self, runner, monkeypatch, fmt):
-        # past the table bound nothing limits the upper half's bytes, so no
-        # child runs and no temporary file takes them: this process writes all
-        args = ["gen", "--n-max", "101", "--method", "beatty", "--format", fmt]
-        split = runner.invoke(main, args)
-        assert split.exit_code == 0
+    @pytest.mark.parametrize("case", ["past-the-bound", "without-fork"])
+    def test_unsplit_where_no_child_takes_a_half(self, runner, monkeypatch, case, fmt):
+        # past the table bound nothing limits the upper half's bytes, and
+        # without os.fork a split buys nothing: no child runs and no temporary
+        # file takes a half, as this process writes the forked run's bytes whole
+        if case == "past-the-bound":
+            exports = [["gen", "--n-max", "101", "--method", "beatty"]]
+        else:
+            commands = [["gen", "--method", m] for m in ("recursive", "beatty", "both")]
+            exports = [
+                [*command, "--n-max", n]
+                for command in [*commands, ["error-term"], ["primes"]]
+                for n in ("4", "101")  # 2 rows of primes, which start at 3
+            ]
+        exports = [[*args, "--format", fmt] for args in exports]
+        forked = [runner.invoke(main, args) for args in exports]
 
         def refused(*args, **kwargs):
-            raise AssertionError("a fork or a temporary file past the table bound")
+            raise AssertionError(f"a fork or a temporary file {case}")
 
-        monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
         monkeypatch.setattr(wythoff.cli, "TemporaryFile", refused)
-        monkeypatch.setattr(os, "fork", refused)
-        whole = runner.invoke(main, args)
-        assert whole.exit_code == 0, whole.exception
-        assert whole.stdout == split.stdout
+        if case == "past-the-bound":
+            monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
+            monkeypatch.setattr(os, "fork", refused)
+        else:
+            monkeypatch.delattr(os, "fork")
+        for args, split in zip(exports, forked):
+            whole = runner.invoke(main, args)
+            assert whole.exit_code == split.exit_code == 0, (args, whole.exception)
+            assert (whole.stdout, whole.stderr) == (split.stdout, split.stderr), args
 
     def test_solver_ceiling_exits_three(self, runner, monkeypatch):
         monkeypatch.setattr(wythoff.game, "_SOLVE_CAP", 100)
@@ -477,7 +491,7 @@ class TestStreaming:
 
 
 class TestStreamingInline(TestStreaming):
-    """TestStreaming with os.fork deleted: both halves are written here, one after the other."""
+    """TestStreaming with os.fork deleted: this one process writes each export whole."""
 
     @pytest.fixture(autouse=True)
     def without_fork(self, monkeypatch):
@@ -541,7 +555,8 @@ def test_runs_as_module():
 
 
 class TestOutputFailures:
-    """A missing --out directory, a full TMPDIR or a closed stdout keeps the exit-code contract."""
+    """A missing --out directory, a full TMPDIR, a closed stdout or an
+    interrupt keeps the exit-code contract."""
 
     @pytest.mark.parametrize(
         "args",
@@ -590,27 +605,34 @@ class TestOutputFailures:
         assert r.stderr == f"error: --out {target}: {folder} is not a writable directory\n"
         assert not target.exists()
 
-    @pytest.mark.parametrize("fork", ["forked", "inline"])
-    def test_full_tmpdir_exits_two(self, runner, monkeypatch, fork):
-        # the upper half's temporary file cannot be written: the lower half is
-        # out, and the error is raised in the parent whichever process wrote
+    def test_full_tmpdir_exits_two(self, runner, monkeypatch):
+        # the forked child cannot write the upper half's temporary file: the
+        # lower half is out, and the child's error is raised in the parent
         class Full(io.StringIO):
             def write(self, text):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(wythoff.cli, "TemporaryFile", lambda *args, **kwargs: Full())
-        if fork == "inline":
-            monkeypatch.delattr(os, "fork")
         r = runner.invoke(main, ["gen", "--n-max", "4", "--format", "csv"])
         assert r.exit_code == 2
         assert r.stdout == "n,p,q\n1,1,2\n2,3,5\n"
         assert r.stderr == "error: [Errno 28] No space left on device\n"
 
-    @staticmethod
-    def close_after_first_line(argv, timeout):
-        """Run argv, close its stdout after the first line; its exit code,
-        seconds from the close to its end, and stderr.
+    def test_interrupt_exits_130_quietly(self, runner, monkeypatch):
+        def interrupted(n):
+            raise KeyboardInterrupt
 
+        monkeypatch.setattr(wythoff.cli, "beatty_p", interrupted)
+        r = runner.invoke(main, ["gen", "--n-max", "1", "--method", "beatty", "--format", "csv"])
+        assert (r.exit_code, r.stdout, r.stderr) == (130, "", "")
+
+    @staticmethod
+    def stop_after_first_line(argv, timeout, interrupt=False):
+        """Run argv and, after its first line, close its stdout; its exit
+        code, seconds from the stop to its end, and stderr.
+
+        With interrupt, SIGINT goes to argv's process instead, and the rest
+        of its stdout is read, so its last flush cannot block on a full pipe.
         The run has its own session, and nothing of it may outlive it: a
         forked child is reaped, not orphaned.
         """
@@ -625,8 +647,12 @@ class TestOutputFailures:
         ) as proc:
             try:
                 assert proc.stdout.readline() == b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
-                proc.stdout.close()
                 start = time.monotonic()
+                if interrupt:
+                    os.kill(proc.pid, signal.SIGINT)
+                    proc.stdout.read()
+                else:
+                    proc.stdout.close()
                 code = proc.wait(timeout=timeout)
                 elapsed = time.monotonic() - start
                 with pytest.raises(ProcessLookupError):
@@ -642,8 +668,16 @@ class TestOutputFailures:
         # stops it; the failing parent SIGKILLs it, where waiting took ~7 s
         args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
         argv = [sys.executable, "-m", "wythoff.cli", *args]
-        code, elapsed, stderr = self.close_after_first_line(argv, timeout=120)
+        code, elapsed, stderr = self.stop_after_first_line(argv, timeout=120)
         assert (code, stderr) == (141, b"")
+        assert elapsed < 2
+
+    def test_sigint_exits_130_and_stops_the_child(self):
+        # Ctrl-C on the 10^7-row export its forked child is still writing
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
+        argv = [sys.executable, "-m", "wythoff.cli", *args]
+        code, elapsed, stderr = self.stop_after_first_line(argv, timeout=120, interrupt=True)
+        assert (code, stderr) == (130, b"")
         assert elapsed < 2
 
     def test_closed_pipe_stops_a_stalled_child(self):
@@ -660,5 +694,5 @@ class TestOutputFailures:
             "wythoff.cli.main()\n"
         )
         args = ["gen", "--n-max", "1000000", "--method", "both", "--format", "csv"]
-        code, _, stderr = self.close_after_first_line([sys.executable, "-c", stalled, *args], 30)
+        code, _, stderr = self.stop_after_first_line([sys.executable, "-c", stalled, *args], 30)
         assert (code, stderr) == (141, b"")

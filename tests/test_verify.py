@@ -485,36 +485,88 @@ class TestCorruptedTable:
         reports = [verify_identity(i, 1000, corrupt) for i in TABLE_IDS]
         assert any(not r.passed for r in reports)
 
-    def test_every_single_entry_corruption_at_200(self):
-        # every entry of p and q, each shifted by each delta: 2,400 tables.
-        # The counts show an identity blunted on one sequence even where
-        # another still catches the same corruption; the digest pins every
-        # report, so a lookup that reads a different counterexample shows too
-        pristine = build_recursive(200)
-        tables = [REGISTRY[i] for i in TABLE_IDS]
+    @staticmethod
+    def sweep(corruptions):
+        """Each table identity's catch count over the (label, table) corruptions,
+        and the sha256 of every report, once each table has failed a report
+        and raised none.
+
+        The counts show an identity blunted on one kind of corruption even
+        where another still catches it; the digest pins every report, so a
+        lookup that reads a different counterexample shows too.
+        """
         caught = dict.fromkeys(TABLE_IDS, 0)
         sweep = []
-        for seq in ("p", "q"):
-            for k in range(1, 201):
-                for delta in (-1, 1, -2, 2, -(10**20), 10**20):
-                    corrupt = pristine.copy()
-                    getattr(corrupt, seq)[k] += delta
-                    reports = wythoff.verify._reports(tables, {"table": 200}, corrupt)
-                    # _reports turns an engine error into a "no error" counterexample
-                    assert all(
-                        ce.expected != "no error" for r in reports for ce in r.counterexamples
-                    ), (seq, k, delta)
-                    assert any(not r.passed for r in reports), (seq, k, delta)
-                    for r in reports:
-                        caught[r.identity_id] += not r.passed
-                    sweep.append([seq, k, delta, [r.to_dict() for r in reports]])
+        for label, corrupt in corruptions:
+            reports = wythoff.verify._reports(
+                wythoff.verify._TABLE_IDENTITIES, {"table": corrupt.n_max}, corrupt
+            )
+            # _reports turns an engine error into a "no error" counterexample
+            assert all(
+                ce.expected != "no error" for r in reports for ce in r.counterexamples
+            ), label
+            assert any(not r.passed for r in reports), label
+            for r in reports:
+                caught[r.identity_id] += not r.passed
+            sweep.append([*label, [r.to_dict() for r in reports]])
+        return caught, hashlib.sha256(json.dumps(sweep).encode()).hexdigest()
+
+    def test_every_single_entry_corruption_at_200(self):
+        # every entry of p and q, each shifted by each delta: 2,400 tables
+        pristine = build_recursive(200)
+
+        def corruptions():
+            for seq in ("p", "q"):
+                for k in range(1, 201):
+                    for delta in (-1, 1, -2, 2, -(10**20), 10**20):
+                        corrupt = pristine.copy()
+                        getattr(corrupt, seq)[k] += delta
+                        yield (seq, k, delta), corrupt
+
+        caught, digest = self.sweep(corruptions())
         assert caught == {
             "L1": 948, "C2": 948, "L2": 1939, "L3": 1046, "C-dq": 1046, "C-no3p": 152,
             "L4": 1770, "L5": 1196, "C3": 1197, "C-qp": 1760, "L-pq": 1124, "C-pair": 1432,
             "C-final": 1370, "L-E": 800, "E-zero": 1200,
         }
-        digest = hashlib.sha256(json.dumps(sweep).encode()).hexdigest()
         assert digest == "4eaca92305f949f17b6636307a6c38b3748b7a5bf362a568d96709f290536607"
+
+    def test_every_paired_shift_and_adjacent_swap_at_200(self):
+        # corruptions that keep q(n) - p(n) = n, the shape of a wrong but
+        # consistent table, which gets past _offsets: p(k) and q(k) shifted
+        # together by each delta (800 tables), and p(k), p(k + 1) swapped
+        # with q rebuilt as p + n (199 tables)
+        pristine = build_recursive(200)
+
+        def shifts():
+            for k in range(1, 201):
+                for delta in (-1, 1, -2, 2):
+                    corrupt = pristine.copy()
+                    corrupt.p[k] += delta
+                    corrupt.q[k] += delta
+                    yield ("shift", k, delta), corrupt
+
+        def swaps():
+            for k in range(1, 200):
+                corrupt = pristine.copy()
+                corrupt.p[k], corrupt.p[k + 1] = corrupt.p[k + 1], corrupt.p[k]
+                corrupt.q[k], corrupt.q[k + 1] = corrupt.p[k] + k, corrupt.p[k + 1] + k + 1
+                yield ("swap", k), corrupt
+
+        caught, digest = self.sweep(shifts())
+        assert caught == {
+            "L1": 550, "C2": 550, "L2": 800, "L3": 646, "C-dq": 646, "C-no3p": 152,
+            "L4": 638, "L5": 797, "C3": 798, "C-qp": 638, "L-pq": 429, "C-pair": 429,
+            "C-final": 608, "L-E": 400, "E-zero": 800,
+        }
+        assert digest == "da83cf0fe1380ac440dbc649a3dde5b59eecd6920fcae853e0097c8b46cca0fb"
+        caught, digest = self.sweep(swaps())
+        assert caught == {
+            "L1": 199, "C2": 199, "L2": 123, "L3": 199, "C-dq": 199, "C-no3p": 0,
+            "L4": 199, "L5": 199, "C3": 199, "C-qp": 199, "L-pq": 170, "C-pair": 170,
+            "C-final": 181, "L-E": 123, "E-zero": 199,
+        }
+        assert digest == "310c2228421d34a53646f771cd825ed62e5ad4e49b46522d4e975cd0a76df952"
 
     def test_lookup_outside_table_is_a_counterexample(self):
         corrupt = PRISTINE_1000.copy()
