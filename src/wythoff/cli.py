@@ -31,6 +31,11 @@ child's result back.  Every other export, without ``os.fork`` or past
 the bound (only ``gen --method beatty`` runs one), one process writes
 whole, with no temporary file.
 
+The rows of ``gen``, ``error-term`` and ``primes`` and the reports of
+``verify`` take one path: ``_form`` gives a format's head and row line,
+and ``_stream`` writes them to ``--out`` or stdout, then the summary, and
+takes stdout off write-through, as ``PYTHONUNBUFFERED=1`` sets it.
+
 Every command checks what can fail before it opens stdout or ``--out``,
 so a failing command writes nothing.  Only an I/O error while writing,
 a full TMPDIR among them, or an interrupt can leave partial output.
@@ -39,15 +44,19 @@ Exit codes: 0 success, 1 a verification failed or the queried position
 is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
 directory is missing or not writable, is refused before any work), 3
 capacity limits (brute-force cap, sieve, table and solver ceilings), 130
-interrupted by SIGINT (Ctrl-C), 141 stdout closed by its reader, each as
-a shell reports a command killed by that signal.
+interrupted by SIGINT (Ctrl-C), 141 stdout closed by its reader, 143
+terminated by SIGTERM, each as a shell reports a command killed by that
+signal.  An interrupted or terminated command stops its forked child
+before it exits; a SIGKILLed one cannot.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
+import threading
 from collections import Counter
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -62,14 +71,22 @@ from .sequences import beatty_p, lower_values
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
-# Encodes one json row; _json_line indents it to its depth in the payload.
+# Encodes one json row; _form's json line indents it to its depth in the payload.
 _JSON_ROW = json.JSONEncoder(indent=2)
 
 
 class _EngineErrors(click.Group):
-    """Maps exceptions to the exit-code contract (2 usage or I/O, 3 capacity, 130, 141)."""
+    """Maps exceptions to the exit-code contract (2 usage or I/O, 3 capacity, 130, 141, 143).
+
+    While a command runs in the main thread, SIGTERM raises SystemExit(143),
+    so it unwinds as a failure does and _in_child stops a forked child.
+    """
 
     def invoke(self, ctx):
+        # only the main thread may set a handler; elsewhere SIGTERM keeps its own
+        own = threading.current_thread() is threading.main_thread()
+        if own:
+            previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
         try:
             try:
                 return super().invoke(ctx)
@@ -84,6 +101,9 @@ class _EngineErrors(click.Group):
         except (WythoffError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3 if isinstance(exc, CapacityError) else 2)
+        finally:
+            if own:
+                signal.signal(signal.SIGTERM, previous)
 
 
 def _writable_dir(ctx, param, out):
@@ -91,7 +111,7 @@ def _writable_dir(ctx, param, out):
 
     click.Path checks only a file that already exists, and takes an empty
     path, whose folder would read as ".".  The file itself is still opened
-    where the command writes (see _output).
+    where the command writes (see _stream).
     """
     if out == "":
         raise OSError("--out: the path is empty")
@@ -132,27 +152,28 @@ def _token(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _line_form(fmt, headers, widths=None) -> str:
-    """The %-form of one csv line, or of one table line for the column widths.
+def _form(fmt, command, arguments, headers, widths=None):
+    """A format's head and the function that turns one row tuple into its line.
 
     csv fields are ints, registry ids and the true / false tokens (a bool
     must already be a _token), none of which holds a comma, quote or
-    newline, so no field ever needs csv quoting.
+    newline, so no field ever needs csv quoting.  A table's line is set to
+    the column widths.  json's head is its meta and the opening of "rows";
+    each row is indented to its depth and led by the comma after the row
+    before it, which _write drops from the first.
     """
+    if fmt == "json":
+        head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
+
+        def line(row):
+            return ",\n    " + _JSON_ROW.encode(dict(zip(headers, row))).replace("\n", "\n    ")
+
+        return head[: -len("\n}")] + ',\n  "rows": [', line
     if fmt == "table":
-        return "  ".join(f"%{w}s" for w in widths) + "\n"
-    return ",".join(["%s"] * len(headers)) + "\n"
-
-
-def _json_head(command, arguments) -> str:
-    """The json payload up to its first row: its meta and the opening of "rows"."""
-    head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
-    return head[: -len("\n}")] + ',\n  "rows": ['
-
-
-def _json_line(row: dict) -> str:
-    """One json row, indented to its depth and led by the comma after the row before it."""
-    return ",\n    " + _JSON_ROW.encode(row).replace("\n", "\n    ")
+        form = "  ".join(f"%{w}s" for w in widths) + "\n"
+    else:
+        form = ",".join(["%s"] * len(headers)) + "\n"
+    return form % tuple(headers), form.__mod__
 
 
 def _write(stream, fmt, head, lines) -> None:
@@ -168,11 +189,17 @@ def _write(stream, fmt, head, lines) -> None:
         stream.write("\n  ]\n}\n" if first else "]\n}\n")
 
 
-def _output(out):
-    """The data stream of a command: the --out file if given, else stdout."""
-    if out is None:
-        return nullcontext(sys.stdout)
-    return open(out, "w", encoding="utf-8", newline="")
+def _stream(out, fmt, head, lines, summary=None) -> None:
+    """Write head and lines through _write to the --out file if given, else
+    stdout, then the summary() line: after the rows for a table, else on stderr."""
+    if out is None and hasattr(sys.stdout, "reconfigure"):
+        # PYTHONUNBUFFERED=1 sets write-through: one write syscall per row
+        sys.stdout.reconfigure(write_through=False)
+    output = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+    with output as stream:
+        _write(stream, fmt, head, lines)
+        if summary is not None:
+            print(summary(), file=stream if fmt == "table" else sys.stderr)
 
 
 def _widths(headers, produced) -> list[int]:
@@ -181,13 +208,6 @@ def _widths(headers, produced) -> list[int]:
     for row in produced:
         widths = list(map(max, widths, map(len, map(str, row))))
     return widths
-
-
-def _counted(produced, counts: Counter):
-    """The rows of produced, each counted in counts by its last field as it passes."""
-    for row in produced:
-        counts[row[-1]] += 1
-        yield row
 
 
 def _recursion(n_max: int, span: range):
@@ -216,8 +236,10 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     checks its ceiling on the call fails before any --out file exists.  A
     table measures its column widths first, each half in its own process,
     with producers that end before the writing ones start.  With a
-    summary, each half counts its rows by their last field, and the
-    summed counts go to summary() and are returned.
+    summary, the line function counts each row by its last field.  The
+    child forks before this process counts a row, so the counts it returns
+    hold its half alone; spliced() adds them in, and the sum goes to
+    summary() and is returned.
     """
     # a split pays only where a child forks; past the table bound, where only
     # gen --method beatty runs, its file would spill without limit into TMPDIR
@@ -225,41 +247,30 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     cut = (len(span) + 1) // 2 if split else len(span)
     lower, upper = span[:cut], span[cut:]
     halves = _in_child if upper else nullcontext  # nullcontext(work) yields work itself
-    if fmt == "json":
-        head = _json_head(command, arguments)
+    widths = None
+    if fmt == "table":
+        with halves(lambda: _widths(headers, rows(upper))) as upper_widths:
+            widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))
+    head, line = _form(fmt, command, arguments, headers, widths)
+    counts: Counter = Counter()
+    if summary is not None:
+        form = line
 
         def line(row):
-            return _json_line(dict(zip(headers, row)))
+            counts[row[-1]] += 1
+            return form(row)
 
-    else:
-        widths = None
-        if fmt == "table":
-            with halves(lambda: _widths(headers, rows(upper))) as upper_widths:
-                widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))
-        form = _line_form(fmt, headers, widths)
-        head, line = form % tuple(headers), form.__mod__
-
-    counts: Counter = Counter()
-
-    def lines(half, tally):
-        produced = rows(half)
-        return map(line, produced if summary is None else _counted(produced, tally))
-
-    def write(produced):
-        with _output(out) as stream:
-            _write(stream, fmt, head, produced)
-            if summary is not None:
-                _summary(stream, fmt, summary(counts))
+    def write(lines):
+        _stream(out, fmt, head, lines, summary and (lambda: summary(counts)))
 
     if not upper:
-        write(lines(lower, counts))
+        write(map(line, rows(lower)))
         return counts
 
     def write_upper():
-        tally = Counter()
-        spill.writelines(lines(upper, tally))
+        spill.writelines(map(line, rows(upper)))
         spill.flush()  # a forked child leaves by os._exit, which flushes nothing
-        return tally
+        return counts  # the child's own copy, forked empty: its half alone
 
     def spliced(upper_counts):
         counts.update(upper_counts())
@@ -269,16 +280,8 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     with TemporaryFile("w+", encoding="utf-8", newline="") as spill:
         with _in_child(write_upper) as upper_counts:
             # the chain lets go of the lower half's producer once it ends
-            write(chain(lines(lower, counts), spliced(upper_counts)))
+            write(chain(map(line, rows(lower)), spliced(upper_counts)))
     return counts
-
-
-def _summary(stream, fmt, line: str) -> None:
-    """Human summary: after the rows for tables, stderr for machine formats."""
-    if fmt == "table":
-        stream.write(line + "\n")
-    else:
-        click.echo(line, err=True)
 
 
 def _describe_move(move, x: int, y: int) -> str:
@@ -365,26 +368,22 @@ def verify(identity_id, run_all, n_max, game_cap, prime_n_max, fmt, out):
         "format": fmt,
     }
     failed = [r.identity_id for r in reports if not r.passed]
-    with _output(out) as stream:
-        if fmt == "table":
-            stream.writelines(report_text(r) + "\n" for r in reports)
-        elif fmt == "csv":
-            headers = ["identity", "lo", "hi", "passed", "counterexamples"]
+    passed = f"{len(reports) - len(failed)} of {len(reports)} identities passed"
+    summary = passed + (f"; FAILED: {', '.join(failed)}" if failed else "")
+    if fmt == "table":
+        head, lines = "", (report_text(r) + "\n" for r in reports)
+    else:
+        headers = ["identity", "lo", "hi", "passed", "counterexamples"]
+        head, line = _form(fmt, "verify", arguments, headers)
+        if fmt == "csv":
             rows = (
                 (r.identity_id, r.lo, r.hi, _token(r.passed), len(r.counterexamples))
                 for r in reports
             )
-            line = _line_form(fmt, headers)
-            _write(stream, fmt, line % tuple(headers), map(line.__mod__, rows))
         else:
-            rows = (r.to_dict() for r in reports)
-            _write(stream, fmt, _json_head("verify", arguments), map(_json_line, rows))
-        _summary(
-            stream,
-            fmt,
-            f"{len(reports) - len(failed)} of {len(reports)} identities passed"
-            + (f"; FAILED: {', '.join(failed)}" if failed else ""),
-        )
+            rows = (r.to_dict().values() for r in reports)
+        lines = map(line, rows)
+    _stream(out, fmt, head, lines, lambda: summary)
     if failed:
         sys.exit(1)
 

@@ -114,6 +114,16 @@ MUTANTS = (
             TESTS + "TestCorruptedTable::test_every_paired_shift_and_adjacent_swap_at_200",
         ),
     ),
+    # L2 taken as proved wherever q(n) - p(n) = n: every single-entry
+    # corruption breaks that and still meets the partition check, but a
+    # paired shift or an adjacent swap keeps it and passes
+    (
+        VERIFY,
+        "    settled = _settled(_step_proof, table, n_max, shared)\n    top",
+        "    settled = _settled(_step_proof, table, n_max, shared) or _offsets(table.p, table.q)\n"
+        "    top",
+        (TESTS + "TestCorruptedTable::test_every_paired_shift_and_adjacent_swap_at_200",),
+    ),
     # a memo that settles every identity unseen
     (
         VERIFY,
@@ -362,8 +372,8 @@ MUTANTS = (
     # mutant on the split path's write is equivalent
     (
         CLI,
-        "        write(lines(lower, counts))",
-        "        _output(out)\n        write(lines(lower, counts))",
+        "        write(map(line, rows(lower)))",
+        '        _stream(out, fmt, "", iter(()))\n        write(map(line, rows(lower)))',
         (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
     ),
     # a table's width pass collects its rows before it measures them
@@ -438,6 +448,44 @@ MUTANTS = (
             CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",
         ),
     ),
+    # the rows no longer counted: the histogram is empty and a failing prime
+    # claim exits 0
+    (
+        CLI,
+        "            counts[row[-1]] += 1\n",
+        "",
+        (
+            CLI_TESTS + "TestErrorTerm::test_small_scan",
+            CLI_TESTS + "TestPrimes::test_failing_claim_exits_one",
+        ),
+    ),
+    # verify's summary line dropped, after the table and from stderr
+    (
+        CLI,
+        "    _stream(out, fmt, head, lines, lambda: summary)",
+        "    _stream(out, fmt, head, lines)",
+        (
+            CLI_TESTS + "TestVerify::test_summary_after_the_rows_or_on_stderr[table]",
+            CLI_TESTS + "TestVerify::test_summary_after_the_rows_or_on_stderr[csv]",
+        ),
+    ),
+    # json's first row keeps its lead comma: "rows": [, is no json
+    (
+        CLI,
+        '(first[1:] if fmt == "json" else first)',
+        "first",
+        (
+            CLI_TESTS + "TestJsonLayout::test_matches_json_dump",
+            SNAPSHOT + "[primes --n-max 4 --format json]",
+        ),
+    ),
+    # stdout left write-through: under PYTHONUNBUFFERED=1 each row is a syscall
+    (
+        CLI,
+        "        sys.stdout.reconfigure(write_through=False)\n",
+        "        pass\n",
+        (CLI_TESTS + "TestOutputFailures::test_unbuffered_stdout_gets_few_writes",),
+    ),
     # the child's file not flushed: os._exit drops its last buffered lines
     (
         CLI,
@@ -458,6 +506,29 @@ MUTANTS = (
             CLI_TESTS + "TestOutputFailures::test_interrupt_exits_130_quietly",
             CLI_TESTS + "TestOutputFailures::test_sigint_exits_130_and_stops_the_child",
         ),
+    ),
+    # no SIGTERM handler: the parent dies without unwinding, and its forked
+    # child, reparented, writes on into TMPDIR
+    (
+        CLI,
+        "signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))",
+        "signal.getsignal(signal.SIGTERM)",
+        (CLI_TESTS + "TestOutputFailures::test_sigterm_exits_143_and_stops_the_child",),
+    ),
+    # a handler set from any thread: outside the main one, signal.signal
+    # raises ValueError and the command fails
+    (
+        CLI,
+        "        own = threading.current_thread() is threading.main_thread()\n",
+        "        own = True\n",
+        (CLI_TESTS + "TestOutputFailures::test_runs_outside_the_main_thread",),
+    ),
+    # the handler left in place after main returns, in a caller's process
+    (
+        CLI,
+        "                signal.signal(signal.SIGTERM, previous)\n",
+        "                pass\n",
+        (CLI_TESTS + "TestOutputFailures::test_sigterm_handler_is_restored",),
     ),
     # a closed stdout exits 1, not 141
     (

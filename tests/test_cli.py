@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -29,7 +30,7 @@ from wythoff import (
     build_recursive,
     sieve_limit_for,
 )
-from wythoff.cli import _json_head, _write, main
+from wythoff.cli import _form, _write, main
 
 
 @pytest.fixture
@@ -159,6 +160,18 @@ class TestVerify:
         r = runner.invoke(main, ["verify", "--identity", "L1"])
         assert r.exit_code == 1
         assert "FAILED" in r.stdout
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_summary_after_the_rows_or_on_stderr(self, runner, monkeypatch, fmt):
+        failed = VerificationReport("L1", 1, 9, False, (), 0.0)
+        monkeypatch.setattr("wythoff.verify.verify_identity", lambda *a, **k: failed)
+        r = runner.invoke(main, ["verify", "--identity", "L1", "--format", fmt])
+        summary = "0 of 1 identities passed; FAILED: L1\n"
+        if fmt == "table":
+            assert (r.stdout.count("\n"), r.stderr) == (2, "")
+            assert r.stdout.endswith(summary)
+        else:
+            assert (r.stderr, r.stdout.count(summary)) == (summary, 0)
 
     @pytest.mark.parametrize("identity_id", list(wythoff.REGISTRY))
     def test_identity_row_matches_the_all_row(self, runner, all_rows, identity_id):
@@ -535,7 +548,8 @@ class TestJsonLayout:
 
     def test_no_rows(self):
         stream = io.StringIO()
-        _write(stream, "json", _json_head("gen", {"n_max": 0}), iter(()))
+        head, _ = _form("json", "gen", {"n_max": 0}, ["n"])
+        _write(stream, "json", head, iter(()))
         payload = {"meta": {"command": "gen", "arguments": {"n_max": 0}}, "rows": []}
         assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
 
@@ -555,8 +569,8 @@ def test_runs_as_module():
 
 
 class TestOutputFailures:
-    """A missing --out directory, a full TMPDIR, a closed stdout or an
-    interrupt keeps the exit-code contract."""
+    """A missing --out directory, a full TMPDIR, a closed stdout, an
+    interrupt or a SIGTERM keeps the exit-code contract."""
 
     @pytest.mark.parametrize(
         "args",
@@ -627,11 +641,11 @@ class TestOutputFailures:
         assert (r.exit_code, r.stdout, r.stderr) == (130, "", "")
 
     @staticmethod
-    def stop_after_first_line(argv, timeout, interrupt=False):
+    def stop_after_first_line(argv, timeout, signum=None):
         """Run argv and, after its first line, close its stdout; its exit
         code, seconds from the stop to its end, and stderr.
 
-        With interrupt, SIGINT goes to argv's process instead, and the rest
+        With signum, that signal goes to argv's process instead, and the rest
         of its stdout is read, so its last flush cannot block on a full pipe.
         The run has its own session, and nothing of it may outlive it: a
         forked child is reaped, not orphaned.
@@ -648,8 +662,8 @@ class TestOutputFailures:
             try:
                 assert proc.stdout.readline() == b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
                 start = time.monotonic()
-                if interrupt:
-                    os.kill(proc.pid, signal.SIGINT)
+                if signum is not None:
+                    os.kill(proc.pid, signum)
                     proc.stdout.read()
                 else:
                     proc.stdout.close()
@@ -676,9 +690,50 @@ class TestOutputFailures:
         # Ctrl-C on the 10^7-row export its forked child is still writing
         args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
         argv = [sys.executable, "-m", "wythoff.cli", *args]
-        code, elapsed, stderr = self.stop_after_first_line(argv, timeout=120, interrupt=True)
+        code, elapsed, stderr = self.stop_after_first_line(argv, 120, signal.SIGINT)
         assert (code, stderr) == (130, b"")
         assert elapsed < 2
+
+    def test_sigterm_exits_143_and_stops_the_child(self):
+        # as timeout(1) or a cancelled CI job stops the same export: a parent
+        # killed without unwinding would leave its child writing for ~50 s
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
+        argv = [sys.executable, "-m", "wythoff.cli", *args]
+        code, elapsed, stderr = self.stop_after_first_line(argv, 120, signal.SIGTERM)
+        assert (code, stderr) == (143, b"")
+        assert elapsed < 2
+
+    def test_sigterm_handler_is_restored(self, runner):
+        before = signal.getsignal(signal.SIGTERM)
+        assert runner.invoke(main, ["gen", "--n-max", "1"]).exit_code == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_runs_outside_the_main_thread(self, runner):
+        # only the main thread may set a signal handler
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(runner.invoke(main, ["gen", "--n-max", "1"]))
+        )
+        worker.start()
+        worker.join()
+        assert (results[0].exit_code, results[0].stdout) == (0, "n  p  q\n1  1  2\n")
+
+    def test_unbuffered_stdout_gets_few_writes(self, monkeypatch):
+        # PYTHONUNBUFFERED=1 makes stdout a write-through text layer over a
+        # raw file: without a buffer of the export's own, each row is a syscall
+        class Raw(io.RawIOBase):
+            writes = 0
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                Raw.writes += 1
+                return len(data)
+
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Raw(), write_through=True))
+        main(["gen", "--n-max", "10000", "--format", "csv"], standalone_mode=False)
+        assert 0 < Raw.writes < 100
 
     def test_closed_pipe_stops_a_stalled_child(self):
         # the child never ends its half, so only the failing parent's SIGKILL
