@@ -7,6 +7,7 @@ table chain, and the CLI writes the upper half of a row export this way.
 from __future__ import annotations
 
 import os
+import signal
 from contextlib import contextmanager
 from typing import Callable
 
@@ -59,8 +60,6 @@ def _in_child(work: Callable):
 
             yield result
     except BaseException:
-        import signal  # only on this path: its import costs the benchmark's peak RSS
-
         os.kill(pid, signal.SIGKILL)  # an unreaped child, even one that has exited, is there
         raise
     finally:

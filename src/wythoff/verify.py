@@ -4,16 +4,18 @@ Every structural fact the package relies on is registered here as a
 named identity that checks its maximal valid sub-range of [1, n_max] and
 reports counterexamples.  Each table identity declares its per-n rule,
 and its range rule and proof where they differ from the defaults; one
-shared scan walks every such range.  Only the partition identity L2,
-which walks values rather than indices, keeps its own loop.  Every
-identity caps its counterexamples through the same helper.
+shared checker serves them all, and one shared scan walks each rule.
+The partition identity L2, which walks values rather than indices,
+declares its own scan in place of a rule.  Every check returns its
+counterexamples uncapped; the report alone keeps the first
+MAX_COUNTEREXAMPLES.
 
 Fast proof, reference witness: every table identity first tries a
 proof, one pass over the arrays (C-level ``map`` and ``islice`` where
 it can be) that is true only when the identity holds on its whole
 range.  A true proof is the report.  Otherwise the per-n
-reference rule runs and names the counterexamples, so every
-counterexample comes from the reference rule.  Two proofs are shared,
+reference rule, or L2's scan, runs and names the counterexamples, so
+every counterexample comes from the reference rule.  Two proofs are shared,
 each run once per `verify_all` or `fault_injected_reports` call: the
 step proof, the recursion's own facts p(1) = 1, q(n) = p(n) + n and the
 step rule of p, settles every table identity but L-E and E-zero, and
@@ -112,9 +114,10 @@ class Identity:
     (PairTable, n_max, shared), where ``shared`` holds the verdicts of
     the proofs one registry run has tried on the table so far, "game"
     checkers take a solver cap, and "prime" checkers take a prime-index
-    bound.  A table checker tries a proof first and runs its reference
-    rule only when the proof fails; either way it returns the same
-    report.
+    bound.  Every checker returns (lo, hi, counterexamples), the last an
+    iterable it has not capped; the report keeps its first
+    MAX_COUNTEREXAMPLES.  A table checker tries a proof first and scans
+    only when the proof fails; either way the report is the same.
     ``conjecture`` marks identities that are empirically supported but
     unproven, so their failures are reported as conjecture
     counterexamples rather than engine bugs.
@@ -125,11 +128,6 @@ class Identity:
     kind: str
     check: Callable
     conjecture: bool = False
-
-
-def _capped(ces: Iterable[Counterexample]) -> list[Counterexample]:
-    """The first MAX_COUNTEREXAMPLES counterexamples; stops pulling after that."""
-    return list(islice(ces, MAX_COUNTEREXAMPLES))
 
 
 def _index_bound(values: list[int], n_max: int) -> int:
@@ -172,27 +170,12 @@ def _proved(proof: Callable, p, q, n_max: int) -> bool:
         return False
 
 
-def _settled(proof: Callable, table: PairTable, n_max: int, shared: dict) -> bool:
-    """proof's verdict, kept in ``shared``: a run has one table and one n_max.
-
-    Every table check calls this before it reads the table, so it first
-    refuses a table whose lists, either of which may have been shortened
-    in place, end before n_max.
-    """
-    covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
-    if covers < n_max:
-        raise RangeError(f"supplied table covers {covers} entries, need {n_max}")
-    if proof not in shared:
-        shared[proof] = _proved(proof, table.p, table.q, n_max)
-    return shared[proof]
-
-
 # the step of p after n, indexed by whether n is a lower value
 _STEP_AFTER = bytes.maketrans(b"\0\1", b"\1\2")
 
 
 def _offsets(p: list[int], q: list[int]) -> bool:
-    """q(m) - p(m) = m at every index both lists hold; ``_settled`` makes that [0, n_max]."""
+    """q(m) - p(m) = m at every index both lists hold; the table check makes that [0, n_max]."""
     return all(map(eq, map(sub, q, p), count()))
 
 
@@ -222,7 +205,7 @@ def _step_proof(p: list[int], q: list[int], n_max: int) -> bool:
     C-no3p: steps of 1 at n and n + 1 <= top would make both integers
     upper values by L2, yet q steps by 2 or more.
     ``bytes`` raises ValueError on a step outside 0..255: no proof.
-    ``_settled`` has checked that p and q cover n_max, so each ``islice``
+    The table check has found that p and q cover n_max, so each ``islice``
     below reads every entry it names.
     """
     top = n_max - 1
@@ -264,19 +247,27 @@ def _gap_proof(p: list[int], q: list[int], n_max: int) -> bool:
     )
 
 
-def _table_rule(rule: Callable, hi=lambda t, m: m - 1, proof=_step_proof) -> Callable:
-    """Checker for a table identity: rule over [1, top], top = hi(table, n_max).
+def _table_rule(rule=None, hi=lambda t, m: m - 1, proof=_step_proof, scan=None) -> Callable:
+    """Checker for a table identity over [1, top], top = hi(table, n_max).
 
-    A true ``proof(p, q, n_max)`` is the report, with no counterexamples.
-    Otherwise the reference rule runs on every n and names them.
-    ``_settled`` checks the table's coverage before ``hi`` reads it, and
-    runs each proof once per registry run.
+    It refuses a table whose lists, either perhaps shortened in place,
+    end before n_max, so no proof or ``hi`` reads past them.  A true
+    ``proof(p, q, n_max)``, kept in ``shared`` as a run has one table and
+    one n_max, leaves no counterexamples.  Otherwise they are
+    scan(top, p, q, n_max) where a scan is given, else the per-n rule's.
     """
 
     def check(table: PairTable, n_max: int, shared: dict):
-        settled = _settled(proof, table, n_max, shared)
+        covers = min(table.n_max, len(table.p) - 1, len(table.q) - 1)
+        if covers < n_max:
+            raise RangeError(f"supplied table covers {covers} entries, need {n_max}")
+        p, q = table.p, table.q
+        if proof not in shared:
+            shared[proof] = _proved(proof, p, q, n_max)
         top = hi(table, n_max)
-        return 1, top, [] if settled else _capped(_scan(rule, top, table.p, table.q, n_max))
+        if shared[proof]:
+            return 1, top, ()
+        return 1, top, scan(top, p, q, n_max) if scan else _scan(rule, top, p, q, n_max)
 
     return check
 
@@ -302,28 +293,23 @@ def _c3_check(n: int, p: list[int], q: list[int], m: int):
     return want, got
 
 
-def _partition(table: PairTable, n_max: int, shared: dict):
-    """L2: each of 1..p(n_max) lies in exactly one of p[1..n_max], q[1..n_max]."""
-    settled = _settled(_step_proof, table, n_max, shared)
-    top = table.p[n_max]
-    if settled:
-        return 1, top, []
+def _partition(top: int, p: list[int], q: list[int], n_max: int):
+    """L2's scan: each of 1..top lies in exactly one of p[1..n_max], q[1..n_max].
 
-    def violations():
-        # a genuine top is below 2 * n_max; past 3 * n_max + 2 it is corrupt
-        # and may be huge, so a dict keeps the marks: it only ever holds the
-        # 2 * n_max table values and the MAX_COUNTEREXAMPLES gaps found
-        marks = bytearray(max(top, 0) + 1) if top <= 3 * n_max + 2 else defaultdict(int)
-        for value in chain(islice(table.p, 1, n_max + 1), islice(table.q, 1, n_max + 1)):
-            if 0 < value <= top:
-                if marks[value]:
-                    yield Counterexample(value, "exactly one sequence", "both")
-                marks[value] = 1
-        for value in range(1, top + 1):
-            if not marks[value]:
-                yield Counterexample(value, "exactly one sequence", "neither")
-
-    return 1, top, _capped(violations())
+    It yields each value met twice, in scan order, then each value never met.
+    """
+    # a genuine top is below 2 * n_max; past 3 * n_max + 2 it is corrupt
+    # and may be huge, so a dict keeps the marks: it only ever holds the
+    # 2 * n_max table values and the MAX_COUNTEREXAMPLES gaps read
+    marks = bytearray(max(top, 0) + 1) if top <= 3 * n_max + 2 else defaultdict(int)
+    for value in chain(islice(p, 1, n_max + 1), islice(q, 1, n_max + 1)):
+        if 0 < value <= top:
+            if marks[value]:
+                yield Counterexample(value, "exactly one sequence", "both")
+            marks[value] = 1
+    for value in range(1, top + 1):
+        if not marks[value]:
+            yield Counterexample(value, "exactly one sequence", "neither")
 
 
 def _game_equivalence(cap: int):
@@ -341,7 +327,7 @@ def _game_equivalence(cap: int):
             for a, b in sorted(expected - actual)
         ),
     )
-    return 0, cap, _capped(ces)
+    return 0, cap, ces
 
 
 def _prime_gap_claim(prime_n_max: int):
@@ -352,12 +338,12 @@ def _prime_gap_claim(prime_n_max: int):
         for ev in evidence
         if not ev.holds
     )
-    return 3, prime_n_max, _capped(ces)
+    return 3, prime_n_max, ces
 
 
-# One row per identity.  A table row gives its per-n rule, then its range
-# rule, the last n it may check without reading past n_max, and its proof
-# where they differ from _table_rule's defaults.
+# One row per identity.  A table row gives its per-n rule, or L2 its scan,
+# then its range rule, the last n it may check without reading past n_max,
+# and its proof where they differ from _table_rule's defaults.
 _TABLE_IDENTITIES = (
     Identity("L1", "lower sequence strictly increasing", "table", _table_rule(
         lambda n, p, q, m: None if p[n] < p[n + 1] else (f"> {p[n]}", p[n + 1]),
@@ -365,7 +351,9 @@ _TABLE_IDENTITIES = (
     Identity("C2", "no two adjacent integers in the upper sequence", "table", _table_rule(
         lambda n, p, q, m: None if (gap := q[n + 1] - q[n]) >= 2 else ("gap >= 2", gap),
     )),
-    Identity("L2", "the two sequences partition the positive integers", "table", _partition),
+    Identity("L2", "the two sequences partition the positive integers", "table", _table_rule(
+        hi=lambda t, m: t.p[m], scan=_partition,
+    )),
     Identity("L3", "lower-sequence steps are 1 or 2", "table", _table_rule(
         lambda n, p, q, m: None if (s := p[n + 1] - p[n]) in (1, 2) else ("step in {1, 2}", s),
     )),
@@ -453,7 +441,10 @@ def _report(
 ) -> VerificationReport:
     """ident's report at bound, with the proof verdicts found so far in this run.
 
-    A table identity given no table builds one, and ``elapsed`` counts the build.
+    It keeps the first MAX_COUNTEREXAMPLES of the check's counterexamples,
+    the one place they are capped, and stops the scan there.  A table
+    identity given no table builds one, and ``elapsed`` counts the build
+    and the scan.
     """
     start = perf_counter()
     if ident.kind == "table":
@@ -462,8 +453,9 @@ def _report(
         lo, hi, ces = ident.check(table, bound, shared)
     else:
         lo, hi, ces = ident.check(bound)
+    ces = tuple(islice(ces, MAX_COUNTEREXAMPLES))
     elapsed = perf_counter() - start
-    return VerificationReport(ident.identity_id, lo, hi, not ces, tuple(ces), elapsed)
+    return VerificationReport(ident.identity_id, lo, hi, not ces, ces, elapsed)
 
 
 def _failed(ident: Identity, exc: WythoffError) -> VerificationReport:

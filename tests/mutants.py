@@ -79,8 +79,8 @@ MUTANTS = (
     # so a proof passes where the reference rule reads outside the table
     (
         VERIFY,
-        "    if covers < n_max:\n",
-        "    if False:\n",
+        "        if covers < n_max:\n",
+        "        if False:\n",
         (
             TESTS + "TestTruncatedTable",
             PROOFS + "test_a_true_proof_leaves_the_reference_nothing",
@@ -119,17 +119,24 @@ MUTANTS = (
     # paired shift or an adjacent swap keeps it and passes
     (
         VERIFY,
-        "    settled = _settled(_step_proof, table, n_max, shared)\n    top",
-        "    settled = _settled(_step_proof, table, n_max, shared) or _offsets(table.p, table.q)\n"
-        "    top",
+        "hi=lambda t, m: t.p[m], scan=_partition,",
+        "hi=lambda t, m: t.p[m], scan=_partition,\n"
+        "        proof=lambda p, q, m: _step_proof(p, q, m) or _offsets(p, q),",
         (TESTS + "TestCorruptedTable::test_every_paired_shift_and_adjacent_swap_at_200",),
     ),
     # a memo that settles every identity unseen
     (
         VERIFY,
-        "    return shared[proof]\n",
-        "    return True\n",
+        "        if shared[proof]:\n",
+        "        if True:\n",
         (TESTS + "TestFaultInjection",),
+    ),
+    # the one cap moved: a report keeps eleven counterexamples
+    (
+        VERIFY,
+        "islice(ces, MAX_COUNTEREXAMPLES)",
+        "islice(ces, MAX_COUNTEREXAMPLES + 1)",
+        (TESTS + "TestFaultInjection::test_counterexamples_capped",),
     ),
     # _at lets index 0 through: a composed lookup at p(n) = 0 or q(n) = 0
     # reads the unused slot 0 instead of naming an index outside the table
@@ -155,14 +162,15 @@ MUTANTS = (
     # every identity that leaves its reference rule to the default proof
     (
         VERIFY,
-        "proof=_step_proof)",
-        "proof=_gap_proof)",
+        "proof=_step_proof,",
+        "proof=_gap_proof,",
         (SWEEP,),
     ),
-    # L2 off the proof path: its own loop runs on a genuine table
+    # the shared checker off the proof path: every table identity, L2's
+    # scan among them, scans a genuine table despite a true proof
     (
         VERIFY,
-        "    if settled:\n        return 1, top, []\n",
+        "        if shared[proof]:\n            return 1, top, ()\n",
         "",
         (PROOFS + "test_no_reference_scan_on_a_genuine_table",),
     ),
@@ -187,13 +195,13 @@ MUTANTS = (
     # the engine identities gone vacuous: each must name a planted fault
     (
         VERIFY,
-        "    return 0, cap, _capped(ces)\n",
+        "    return 0, cap, ces\n",
         "    return 0, cap, []\n",
         (ENGINES + "test_game_equiv_names_each_difference",),
     ),
     (
         VERIFY,
-        "    return 3, prime_n_max, _capped(ces)\n",
+        "    return 3, prime_n_max, ces\n",
         "    return 3, prime_n_max, []\n",
         (ENGINES + "test_prime_claim_names_a_wrong_composite",),
     ),
@@ -386,6 +394,37 @@ MUTANTS = (
             CLI_TESTS + "TestStreamingInline::test_table_holds_no_rows",
         ),
     ),
+    # a table's write pass collects each half's rows before it writes them
+    (
+        CLI,
+        "            widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))\n",
+        "            widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))\n"
+        "        rows = (lambda produce: lambda span: list(produce(span)))(rows)\n",
+        (
+            CLI_TESTS + "TestStreaming::test_table_holds_no_rows",
+            CLI_TESTS + "TestStreamingInline::test_table_holds_no_rows",
+        ),
+    ),
+    # the width pass's recursion marks, ~3 bytes a row, kept through the
+    # write pass: at 10,000 rows an unforked table's 1.25x bound misses them
+    (
+        CLI,
+        "            widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))\n",
+        "            widths = list(map(max, _widths(headers, rows(lower)), upper_widths()))\n"
+        "            held = bytearray(3 * len(span))\n",
+        (
+            CLI_TESTS + "TestStreaming::test_table_holds_no_rows",
+            CLI_TESTS + "TestStreamingInline::test_table_holds_no_rows",
+        ),
+    ),
+    # the forked child collects its half's lines before it writes them: only
+    # a peak that counts the child's memory sees it
+    (
+        CLI,
+        "        spill.writelines(map(line, rows(upper)))\n",
+        "        spill.writelines(list(map(line, rows(upper))))\n",
+        (CLI_TESTS + "test_forked_child_holds_no_rows",),
+    ),
     # the forked child's half starts one row early, repeating a row, or one
     # row late, dropping one
     (
@@ -505,6 +544,9 @@ MUTANTS = (
         (
             CLI_TESTS + "TestOutputFailures::test_interrupt_exits_130_quietly",
             CLI_TESTS + "TestOutputFailures::test_sigint_exits_130_and_stops_the_child",
+            CLI_TESTS + "TestOutputFailures::test_signal_on_an_out_export_leaves_a_prefix[sigint]",
+            CLI_TESTS + "TestOutputFailures::test_signal_on_the_inline_path[sigint]",
+            CLI_TESTS + "TestOutputFailures::test_signal_while_the_verify_child_solves[sigint]",
         ),
     ),
     # no SIGTERM handler: the parent dies without unwinding, and its forked
@@ -513,7 +555,12 @@ MUTANTS = (
         CLI,
         "signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))",
         "signal.getsignal(signal.SIGTERM)",
-        (CLI_TESTS + "TestOutputFailures::test_sigterm_exits_143_and_stops_the_child",),
+        (
+            CLI_TESTS + "TestOutputFailures::test_sigterm_exits_143_and_stops_the_child",
+            CLI_TESTS + "TestOutputFailures::test_signal_on_an_out_export_leaves_a_prefix[sigterm]",
+            CLI_TESTS + "TestOutputFailures::test_signal_on_the_inline_path[sigterm]",
+            CLI_TESTS + "TestOutputFailures::test_signal_while_the_verify_child_solves[sigterm]",
+        ),
     ),
     # a handler set from any thread: outside the main one, signal.signal
     # raises ValueError and the command fails

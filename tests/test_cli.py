@@ -487,7 +487,7 @@ class TestStreaming:
         # the widths come from a first pass over the rows, the lines from a
         # second, and the first pass's marks are freed before the second's
         self.write_rows(runner, tmp_path, [*command, "--n-max", "10"], "table")
-        args = [*command, "--n-max", "50000"]
+        args = [*command, "--n-max", "20000"]
         csv_peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args))
         peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, args, "table"))
         assert peak < 2**20
@@ -509,6 +509,45 @@ class TestStreamingInline(TestStreaming):
     @pytest.fixture(autouse=True)
     def without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
+
+
+# Spawns python with its own arguments and prints the exit code and the peak
+# RSS that os.wait4 reports, in KiB on Linux: the most any process of the run
+# held, a reaped forked child's too.  It runs as its own small process, as on
+# Linux a child's reported peak is at least the resident size of its spawner.
+_PEAK = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _run_peak_kib(code, args, tmp_path) -> int:
+    """Peak RSS in KiB of a python -c code run with args and --out."""
+    src = str(Path(wythoff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK, "-c", code, *args, "--out", str(tmp_path / "rows.csv")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    exit_code, peak = map(int, result.stdout.split())
+    assert (exit_code, result.stderr) == (0, b"")
+    return peak
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked child to measure")
+def test_forked_child_holds_no_rows(tmp_path):
+    # TestStreaming traces this process alone: here the child's peak counts.
+    # Forked, each process holds what the one unforked writer does; a child
+    # that collected its 100,000 lines would hold ~6.5 MiB more
+    args = ["gen", "--n-max", "200000", "--method", "both", "--format", "csv"]
+    run = "import wythoff.cli; wythoff.cli.main()"
+    forked = _run_peak_kib(run, args, tmp_path)
+    inline = _run_peak_kib("import os; del os.fork; " + run, args, tmp_path)
+    assert forked < inline + 2 * 1024
 
 
 class TestJsonLayout:
@@ -566,6 +605,25 @@ def test_runs_as_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "n,p,q\n1,1,2\n2,3,5\n3,4,7\n"
+
+
+GEN_HEAD = b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
+SIGNALS = [
+    pytest.param(signal.SIGINT, 130, id="sigint"),
+    pytest.param(signal.SIGTERM, 143, id="sigterm"),
+]
+
+
+def _first_line(path: Path, timeout: float = 60) -> bytes:
+    """The first line of the file at path, once a writer has ended it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with contextlib.suppress(FileNotFoundError), open(path, "rb") as file:
+            line = file.readline()
+            if line.endswith(b"\n"):
+                return line
+        time.sleep(0.01)
+    raise AssertionError(f"{path} held no line after {timeout} s")
 
 
 class TestOutputFailures:
@@ -641,12 +699,13 @@ class TestOutputFailures:
         assert (r.exit_code, r.stdout, r.stderr) == (130, "", "")
 
     @staticmethod
-    def stop_after_first_line(argv, timeout, signum=None):
+    def stop_after_first_line(argv, timeout, signum=None, out=None, first=GEN_HEAD):
         """Run argv and, after its first line, close its stdout; its exit
         code, seconds from the stop to its end, and stderr.
 
         With signum, that signal goes to argv's process instead, and the rest
         of its stdout is read, so its last flush cannot block on a full pipe.
+        With out, the first line is awaited in that file, not on stdout.
         The run has its own session, and nothing of it may outlive it: a
         forked child is reaped, not orphaned.
         """
@@ -660,7 +719,7 @@ class TestOutputFailures:
             start_new_session=True,
         ) as proc:
             try:
-                assert proc.stdout.readline() == b"n,p_rec,q_rec,p_beatty,q_beatty,e\n"
+                assert (proc.stdout.readline() if out is None else _first_line(out)) == first
                 start = time.monotonic()
                 if signum is not None:
                     os.kill(proc.pid, signum)
@@ -701,6 +760,55 @@ class TestOutputFailures:
         argv = [sys.executable, "-m", "wythoff.cli", *args]
         code, elapsed, stderr = self.stop_after_first_line(argv, 120, signal.SIGTERM)
         assert (code, stderr) == (143, b"")
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("signum, exit_code", SIGNALS)
+    def test_signal_on_an_out_export_leaves_a_prefix(self, runner, tmp_path, signum, exit_code):
+        # the lower half written to the --out file stops where the signal
+        # found it, and the forked child writing the upper half is stopped
+        target = tmp_path / "rows.csv"
+        form = ["--method", "both", "--format", "csv"]
+        argv = [sys.executable, "-m", "wythoff.cli", "gen", "--n-max", "10000000", *form]
+        code, elapsed, stderr = self.stop_after_first_line(
+            [*argv, "--out", str(target)], 120, signum, target
+        )
+        assert (code, stderr) == (exit_code, b"")
+        assert elapsed < 2
+        written = target.read_bytes()
+        # one row per line after the head: enough rows for a last line cut short
+        rows = str(written.count(b"\n"))
+        whole = runner.invoke(main, ["gen", "--n-max", rows, *form]).stdout.encode()
+        assert whole.startswith(written)
+
+    @pytest.mark.parametrize("signum, exit_code", SIGNALS)
+    def test_signal_on_the_inline_path(self, signum, exit_code):
+        # without os.fork this one process writes the whole export
+        run = "import os; del os.fork; import wythoff.cli; wythoff.cli.main()"
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
+        argv = [sys.executable, "-c", run, *args]
+        code, elapsed, stderr = self.stop_after_first_line(argv, 120, signum)
+        assert (code, stderr) == (exit_code, b"")
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("signum, exit_code", SIGNALS)
+    def test_signal_while_the_verify_child_solves(self, signum, exit_code):
+        # the forked child solves game-equiv, ~3 s at cap 10^4, while the
+        # parent builds its table: the build's line on stdout says the
+        # parent is past the fork and inside _in_child's guard
+        announced = (
+            "import wythoff.cli, wythoff.verify\n"
+            "build = wythoff.verify.build_recursive\n"
+            "def announced(n_max):\n"
+            "    table = build(n_max)\n"
+            "    print('built', flush=True)\n"
+            "    return table\n"
+            "wythoff.verify.build_recursive = announced\n"
+            "wythoff.cli.main()\n"
+        )
+        args = ["verify", "--all", "--game-cap", "10000"]
+        argv = [sys.executable, "-c", announced, *args]
+        code, elapsed, stderr = self.stop_after_first_line(argv, 120, signum, first=b"built\n")
+        assert (code, stderr) == (exit_code, b"")
         assert elapsed < 2
 
     def test_sigterm_handler_is_restored(self, runner):

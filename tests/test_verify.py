@@ -696,8 +696,9 @@ class TestSharedPasses:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(wythoff.verify, "_proved", lambda *args: False)
                 for identity_id in STEP_IDS:
-                    check = REGISTRY[identity_id].check
-                    assert check(corrupt, 1000, {}) == settled[identity_id], identity_id
+                    lo, hi, ces = REGISTRY[identity_id].check(corrupt, 1000, {})
+                    want_lo, want_hi, want = settled[identity_id]
+                    assert (lo, hi, list(ces)) == (want_lo, want_hi, list(want)), identity_id
 
 
 PROVED_IDS = (*STEP_IDS, "L-E", "E-zero")
@@ -760,7 +761,8 @@ class TestProofs:
             if verdicts[0]:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(wythoff.verify, "_proved", lambda *args: False)
-                    assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
+                    got_lo, got_hi, ces = check(corrupt, 1000, {})
+                    assert (got_lo, got_hi, list(ces)) == (lo, hi, []), identity_id
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -800,7 +802,8 @@ class TestProofs:
             if all(shared.values()):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(wythoff.verify, "_proved", lambda *args: False)
-                    assert check(corrupt, 1000, {}) == (lo, hi, []), identity_id
+                    got_lo, got_hi, ces = check(corrupt, 1000, {})
+                    assert (got_lo, got_hi, list(ces)) == (lo, hi, []), identity_id
 
     @pytest.mark.parametrize("identity_id", STEP_IDS)
     def test_count_proof_refuses_an_unsorted_table(self, identity_id):
