@@ -21,7 +21,11 @@ def _in_child(work: Callable):
     it never unwinds into its caller's frames or flushes their buffers a
     second time.  A parent that fails first, by any exception, SIGKILLs the
     child before it reaps it, so it never waits on a child blocked on a
-    full pipe or still writing a file no reader will see.  Where
+    full pipe or still writing a file no reader will see.  The signal mask
+    blocks SIGINT and SIGTERM across the fork, and each process restores
+    it as the first step of its ``try`` (a failed fork, at once): a signal
+    that arrives in between waits until the parent can stop and reap the
+    child, and the child cannot be stopped short of its ``os._exit``.  Where
     ``os.fork`` is missing, work() runs inline when its result is asked
     for.  Only ``verify_all`` takes that fallback: without a fork the CLI
     writes an export whole, as a split would then buy nothing.
@@ -32,21 +36,27 @@ def _in_child(work: Callable):
     import pickle
 
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    try:
+        pid = os.fork()
+    except OSError:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        raise
     if pid == 0:
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read_fd)
             try:
                 outcome = (True, work())
             except BaseException as exc:  # raised again in the parent
                 outcome = (False, exc)
-            data = pickle.dumps(outcome)  # all or nothing reaches the pipe
             with open(write_fd, "wb") as pipe:
-                pipe.write(data)
+                pipe.write(pickle.dumps(outcome))  # all or nothing reaches the pipe
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a signal held since the fork lands here
         with open(read_fd, "rb") as pipe:
 
             def result():

@@ -36,8 +36,9 @@ The rows of ``gen``, ``error-term`` and ``primes`` and the reports of
 and ``_stream`` writes them to ``--out`` or stdout, then the summary, and
 takes stdout off write-through, as ``PYTHONUNBUFFERED=1`` sets it.
 
-Every command checks what can fail before it opens stdout or ``--out``,
-so a failing command writes nothing.  Only an I/O error while writing,
+Every command checks what can fail before its first line exists, and
+``_stream`` opens stdout or ``--out`` only once it holds that line, so a
+failing command writes nothing.  Only an I/O error while writing,
 a full TMPDIR among them, or an interrupt can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
@@ -160,7 +161,7 @@ def _form(fmt, command, arguments, headers, widths=None):
     newline, so no field ever needs csv quoting.  A table's line is set to
     the column widths.  json's head is its meta and the opening of "rows";
     each row is indented to its depth and led by the comma after the row
-    before it, which _write drops from the first.
+    before it, which _stream drops from the first.
     """
     if fmt == "json":
         head = json.dumps({"meta": {"command": command, "arguments": arguments}}, indent=2)
@@ -176,28 +177,26 @@ def _form(fmt, command, arguments, headers, widths=None):
     return form % tuple(headers), form.__mod__
 
 
-def _write(stream, fmt, head, lines) -> None:
-    """Write head, then the text of lines; json drops its first lead comma and closes.
+def _stream(out, fmt, head, lines, summary=None) -> None:
+    """Write head and lines to the --out file if given, else stdout, then
+    the summary() line: after the rows for a table, else on stderr.
 
-    The bytes are those of the whole file at once, as json.dump(payload,
-    indent=2) would write a json one.
+    The first line is pulled before the output is opened or touched, so a
+    producer that fails before its first row, as the recursion does past
+    the table ceiling, leaves no --out file and writes nothing.  json drops
+    its first line's lead comma and closes its rows, so the bytes are
+    those of the whole file at once, as json.dump(payload, indent=2)
+    would write them.
     """
     first = next(lines, "")
-    stream.write(head + (first[1:] if fmt == "json" else first))
-    stream.writelines(lines)
-    if fmt == "json":
-        stream.write("\n  ]\n}\n" if first else "]\n}\n")
-
-
-def _stream(out, fmt, head, lines, summary=None) -> None:
-    """Write head and lines through _write to the --out file if given, else
-    stdout, then the summary() line: after the rows for a table, else on stderr."""
     if out is None and hasattr(sys.stdout, "reconfigure"):
         # PYTHONUNBUFFERED=1 sets write-through: one write syscall per row
         sys.stdout.reconfigure(write_through=False)
-    output = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
-    with output as stream:
-        _write(stream, fmt, head, lines)
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as stream:
+        stream.write(head + (first[1:] if fmt == "json" else first))
+        stream.writelines(lines)
+        if fmt == "json":
+            stream.write("\n  ]\n}\n" if first else "]\n}\n")
         if summary is not None:
             print(summary(), file=stream if fmt == "table" else sys.stderr)
 
@@ -211,8 +210,7 @@ def _widths(headers, produced) -> list[int]:
 
 
 def _recursion(n_max: int, span: range):
-    """p(n) for n in span, a part of 1..n_max: lower_values(n_max), whose
-    ceiling check on the call every half shares, skipped to span."""
+    """p(n) for n in span, a part of 1..n_max: lower_values(n_max) skipped to span."""
     return islice(lower_values(n_max), span.start - 1, span.stop - 1)
 
 
@@ -232,11 +230,9 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     file holds at most the upper half of a 10^7-row export: 230 MB for a
     gen --method both csv, 760 MB for its json.
 
-    rows(lower) is called before the output opens, so a producer that
-    checks its ceiling on the call fails before any --out file exists.  A
-    table measures its column widths first, each half in its own process,
-    with producers that end before the writing ones start.  With a
-    summary, the line function counts each row by its last field.  The
+    A table measures its column widths first, each half in its own
+    process, with producers that end before the writing ones start.  With
+    a summary, the line function counts each row by its last field.  The
     child forks before this process counts a row, so the counts it returns
     hold its half alone; spliced() adds them in, and the sum goes to
     summary() and is returned.
@@ -260,11 +256,9 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
             counts[row[-1]] += 1
             return form(row)
 
-    def write(lines):
-        _stream(out, fmt, head, lines, summary and (lambda: summary(counts)))
-
+    report = summary and (lambda: summary(counts))
     if not upper:
-        write(map(line, rows(lower)))
+        _stream(out, fmt, head, map(line, rows(lower)), report)
         return counts
 
     def write_upper():
@@ -280,7 +274,7 @@ def _emit(out, fmt, command, arguments, headers, rows, span, summary=None) -> Co
     with TemporaryFile("w+", encoding="utf-8", newline="") as spill:
         with _in_child(write_upper) as upper_counts:
             # the chain lets go of the lower half's producer once it ends
-            write(chain(map(line, rows(lower)), spliced(upper_counts)))
+            _stream(out, fmt, head, chain(map(line, rows(lower)), spliced(upper_counts)), report)
     return counts
 
 
@@ -316,7 +310,6 @@ def gen(n_max, method, fmt, out):
     """Emit the first N sequence pairs (recursion, closed form, or both)."""
     arguments = {"n_max": n_max, "method": method, "format": fmt}
     # the recursion defines q(n) = p(n) + n, and floor(n*phi^2) = floor(n*phi) + n
-    # a producer calls lower_values as it is called, so the ceiling fails before any output
     if method == "both":
         headers = ["n", "p_rec", "q_rec", "p_beatty", "q_beatty", "e"]
 

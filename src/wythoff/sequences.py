@@ -173,26 +173,22 @@ def lower_values(n_max: int) -> Iterator[int]:
     strictly, so q(n) = cursor + n rises by at least 2 per step, and no
     cell is marked twice.  The marks are at least 2 apart, so the cursor
     skips at most one mark per step: p(n) <= 2n - 1 and q(n) <= 3n - 1.
-    An n_max below 1 or above the table ceiling raises on the call,
-    before anything is allocated.  q(n) is p(n) + n, so a consumer needs
-    nothing else.
+    An n_max below 1 or above the table ceiling raises before the first
+    value, on the first next(), and before anything is allocated.  q(n)
+    is p(n) + n, so a consumer needs nothing else.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     if n_max > _TABLE_CAP:
         raise CapacityError(f"n_max {n_max} exceeds the table bound {_TABLE_CAP}")
-
-    def mex() -> Iterator[int]:
-        used = bytearray(3 * n_max + 4)
-        cursor = 1
-        for n in range(1, n_max + 1):
-            used[cursor + n] = 1
-            yield cursor
+    used = bytearray(3 * n_max + 4)
+    cursor = 1
+    for n in range(1, n_max + 1):
+        used[cursor + n] = 1
+        yield cursor
+        cursor += 1
+        while used[cursor]:
             cursor += 1
-            while used[cursor]:
-                cursor += 1
-
-    return mex()
 
 
 def build_recursive(n_max: int) -> PairTable:
@@ -203,7 +199,6 @@ def build_recursive(n_max: int) -> PairTable:
     through unchanged: an n_max below 1 or above the table ceiling raises
     before anything is allocated.
     """
-    p = [0]
-    p.extend(lower_values(n_max))
+    p = [0, *lower_values(n_max)]
     q = list(map(add, p, range(n_max + 1)))
     return PairTable(n_max, p, q)

@@ -374,15 +374,36 @@ MUTANTS = (
             SNAPSHOT + "[primes --n-max 500 --format table]",
         ),
     ),
-    # the output opened before the producer's ceiling check: an --out file
-    # is left behind by a command that fails.  Only a span past the table
-    # bound fails that check, and such a span is never split, so the same
-    # mutant on the split path's write is equivalent
+    # the output opened before the first line is pulled: the recursion's
+    # ceiling check, on its first next(), fails after an --out file exists
     (
         CLI,
-        "        write(map(line, rows(lower)))",
-        '        _stream(out, fmt, "", iter(()))\n        write(map(line, rows(lower)))',
+        '    first = next(lines, "")\n',
+        '    held = open(out, "w") if out else None\n    first = next(lines, "")\n',
         (CLI_TESTS + "TestCeilings::test_table_ceiling_exits_three",),
+    ),
+    # the unsplit path collects its lines before it writes them: only an
+    # export written whole by one process takes that path at scale
+    (
+        CLI,
+        "_stream(out, fmt, head, map(line, rows(lower)), report)",
+        "_stream(out, fmt, head, iter(list(map(line, rows(lower)))), report)",
+        (
+            CLI_TESTS + "TestStreamingInline::test_recursion_streams_without_a_table",
+            CLI_TESTS + "TestStreamingInline::test_beatty_runs_in_constant_memory",
+        ),
+    ),
+    # the recursion read from a pair table: ~85 bytes a pair held, not ~3
+    (
+        CLI,
+        "    return islice(lower_values(n_max), span.start - 1, span.stop - 1)",
+        "    return iter(sequences.build_recursive(n_max).p[span.start : span.stop])",
+        (
+            CLI_TESTS + "TestStreaming::test_recursion_streams_without_a_table",
+            CLI_TESTS + "TestStreaming::test_table_holds_no_rows",
+            CLI_TESTS + "TestStreamingInline::test_recursion_streams_without_a_table",
+            CLI_TESTS + "TestStreamingInline::test_table_holds_no_rows",
+        ),
     ),
     # a table's width pass collects its rows before it measures them
     (
@@ -472,8 +493,8 @@ MUTANTS = (
     ),
     (
         CLI,
-        "    if not upper:\n        write(",
-        "    if False:\n        write(",
+        "    if not upper:\n        _stream(",
+        "    if False:\n        _stream(",
         (UNSPLIT + "[past-the-bound-csv]", UNSPLIT + "[without-fork-json]"),
     ),
     # the child's counts dropped: the histogram and the prime claim's
@@ -600,6 +621,27 @@ MUTANTS = (
         (
             CLI_TESTS + "TestOutputFailures::test_closed_pipe_exits_141_quietly",
             CLI_TESTS + "TestOutputFailures::test_closed_pipe_stops_a_stalled_child",
+        ),
+    ),
+    # the signals not blocked across the fork: one that lands as os.fork
+    # returns in the parent, before the guard, leaves the child unreaped
+    (
+        FORK,
+        "signal.SIG_BLOCK",
+        "signal.SIG_UNBLOCK",
+        (
+            CLI_TESTS + "TestOutputFailures::test_signal_as_the_fork_returns[sigint]",
+            CLI_TESTS + "TestOutputFailures::test_signal_as_the_fork_returns[sigterm]",
+        ),
+    ),
+    # a failed fork leaves SIGINT and SIGTERM blocked in its caller
+    (
+        FORK,
+        "    except OSError:\n        signal.pthread_sigmask(signal.SIG_SETMASK, mask)\n",
+        "    except OSError:\n",
+        (
+            CLI_TESTS
+            + "TestOutputFailures::test_failed_fork_exits_two_and_restores_the_signal_mask",
         ),
     ),
     # an eager registry import: the game API and the CLI compile verify.py

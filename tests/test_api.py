@@ -2,7 +2,6 @@
 documented example."""
 
 import ast
-import os
 import re
 import subprocess
 import sys
@@ -11,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import wythoff
+
+from child_env import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,13 +70,11 @@ def test_every_public_name_resolves():
 
 def _fresh(code: str) -> str:
     """What code prints in a fresh interpreter that imports this package."""
-    src = str(Path(wythoff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=60,
         check=True,
     ).stdout

@@ -30,7 +30,9 @@ from wythoff import (
     build_recursive,
     sieve_limit_for,
 )
-from wythoff.cli import _form, _write, main
+from wythoff.cli import _form, _stream, main
+
+from child_env import child_env
 
 
 @pytest.fixture
@@ -465,14 +467,6 @@ class TestStreaming:
         peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, [*args, "20000"]))
         assert peak < 2**20
 
-    @pytest.mark.parametrize("command", [["gen", "--method", "both"], ["error-term"]])
-    def test_bounded_by_the_table(self, runner, tmp_path, command):
-        n = 50_000
-        self.write_rows(runner, tmp_path, [*command, "--n-max", "10"])
-        table_peak = _peak_bytes(lambda: build_recursive(n))
-        peak = _peak_bytes(lambda: self.write_rows(runner, tmp_path, [*command, "--n-max", str(n)]))
-        assert peak <= 1.25 * table_peak
-
     @pytest.mark.parametrize(
         "command", [["gen", "--method", "recursive"], ["gen", "--method", "both"], ["error-term"]]
     )
@@ -525,12 +519,10 @@ _PEAK = (
 
 def _run_peak_kib(code, args, tmp_path) -> int:
     """Peak RSS in KiB of a python -c code run with args and --out."""
-    src = str(Path(wythoff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", _PEAK, "-c", code, *args, "--out", str(tmp_path / "rows.csv")],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=60,
     )
     exit_code, peak = map(int, result.stdout.split())
@@ -585,22 +577,20 @@ class TestJsonLayout:
         assert r.stdout == json.dumps(json.loads(r.stdout), indent=2) + "\n"
         assert json.loads(r.stdout)["rows"][0]["counterexamples"][1] == ces[1].to_dict()
 
-    def test_no_rows(self):
-        stream = io.StringIO()
+    def test_no_rows(self, capsys):
         head, _ = _form("json", "gen", {"n_max": 0}, ["n"])
-        _write(stream, "json", head, iter(()))
+        _stream(None, "json", head, iter(()))
+        sys.stdout.flush()  # _stream takes stdout off write-through
         payload = {"meta": {"command": "gen", "arguments": {"n_max": 0}}, "rows": []}
-        assert stream.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_runs_as_module():
-    src = str(Path(wythoff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "wythoff.cli", "gen", "--n-max", "3", "--format", "csv"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -690,6 +680,18 @@ class TestOutputFailures:
         assert r.stdout == "n,p,q\n1,1,2\n2,3,5\n"
         assert r.stderr == "error: [Errno 28] No space left on device\n"
 
+    def test_failed_fork_exits_two_and_restores_the_signal_mask(self, runner, monkeypatch):
+        # SIGINT and SIGTERM, blocked for the fork, are unblocked again here
+        def refused():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        r = runner.invoke(main, ["gen", "--n-max", "4", "--format", "csv"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error: [Errno {errno.EAGAIN}] fork refused\n"
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+
     def test_interrupt_exits_130_quietly(self, runner, monkeypatch):
         def interrupted(n):
             raise KeyboardInterrupt
@@ -709,13 +711,11 @@ class TestOutputFailures:
         The run has its own session, and nothing of it may outlive it: a
         forked child is reaped, not orphaned.
         """
-        src = str(Path(wythoff.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         with subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
             start_new_session=True,
         ) as proc:
             try:
@@ -810,6 +810,39 @@ class TestOutputFailures:
         code, elapsed, stderr = self.stop_after_first_line(argv, 120, signum, first=b"built\n")
         assert (code, stderr) == (exit_code, b"")
         assert elapsed < 2
+
+    @pytest.mark.parametrize("signum, exit_code", SIGNALS)
+    def test_signal_as_the_fork_returns(self, signum, exit_code):
+        # the parent signals itself the moment os.fork returns there, before
+        # _in_child's guard: the signal waits, blocked, until the guard can
+        # stop and reap the child, which would otherwise write on unreaped
+        signalled = (
+            "import os, wythoff.cli\n"
+            "fork = os.fork\n"
+            "def signalled():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            f"        os.kill(os.getpid(), {int(signum)})\n"
+            "    return pid\n"
+            "os.fork = signalled\n"
+            "wythoff.cli.main()\n"
+        )
+        args = ["gen", "--n-max", "10000000", "--method", "both", "--format", "csv"]
+        with subprocess.Popen(
+            [sys.executable, "-c", signalled, *args],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            start_new_session=True,
+        ) as proc:
+            try:
+                code = proc.wait(timeout=60)
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+            assert (code, proc.stderr.read()) == (exit_code, b"")
 
     def test_sigterm_handler_is_restored(self, runner):
         before = signal.getsignal(signal.SIGTERM)

@@ -117,13 +117,13 @@ class TestLowerValues:
             assert list(lower_values(n)) == build_recursive(n).p[1:]
 
     def test_errors_raise_on_the_call(self, monkeypatch):
-        # raised by the call itself, before the first next()
+        # raised by the first next(), before any value
         with pytest.raises(RangeError):
-            lower_values(0)
+            next(lower_values(0))
         monkeypatch.setattr(wythoff.sequences, "_TABLE_CAP", 100)
         assert len(list(lower_values(100))) == 100
         with pytest.raises(CapacityError, match="table bound 100"):
-            lower_values(101)
+            next(lower_values(101))
 
 
 class TestClosedForm:
