@@ -25,14 +25,12 @@ def _in_child(work: Callable):
     blocks SIGINT and SIGTERM across the fork, and each process restores
     it as the first step of its ``try`` (a failed fork, at once): a signal
     that arrives in between waits until the parent can stop and reap the
-    child, and the child cannot be stopped short of its ``os._exit``.  Where
-    ``os.fork`` is missing, work() runs inline when its result is asked
-    for.  Only ``verify_all`` takes that fallback: without a fork the CLI
-    writes an export whole, as a split would then buy nothing.
+    child, and the child cannot be stopped short of its ``os._exit``.  A
+    refused fork closes the pipe before its ``OSError`` goes on, and a
+    child that ends without a result, killed by a signal say, raises
+    ``ChildProcessError``, an ``OSError`` too, when its result is asked for.
+    Each caller checks for ``os.fork`` itself.
     """
-    if not hasattr(os, "fork"):
-        yield work
-        return
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -41,6 +39,8 @@ def _in_child(work: Callable):
         pid = os.fork()
     except OSError:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read_fd)
+        os.close(write_fd)
         raise
     if pid == 0:
         try:
@@ -63,7 +63,7 @@ def _in_child(work: Callable):
                 try:
                     done, value = pickle.load(pipe)
                 except EOFError:
-                    raise RuntimeError("the forked child ended without a result") from None
+                    raise ChildProcessError("the forked child ended without a result") from None
                 if not done:
                     raise value
                 return value

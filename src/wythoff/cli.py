@@ -39,11 +39,13 @@ takes stdout off write-through, as ``PYTHONUNBUFFERED=1`` sets it.
 Every command checks what can fail before its first line exists, and
 ``_stream`` opens stdout or ``--out`` only once it holds that line, so a
 failing command writes nothing.  Only an I/O error while writing,
-a full TMPDIR among them, or an interrupt can leave partial output.
+a full TMPDIR among them, a forked child that dies without a result, or
+an interrupt can leave partial output.
 
 Exit codes: 0 success, 1 a verification failed or the queried position
-is losing, 2 argument and I/O errors (an empty ``--out``, or one whose
-directory is missing or not writable, is refused before any work), 3
+is losing, 2 argument and I/O errors, a forked child that ended without
+a result among them (an empty ``--out``, or one whose directory is
+missing or not writable, is refused before any work), 3
 capacity limits (brute-force cap, sieve, table and solver ceilings), 130
 interrupted by SIGINT (Ctrl-C), 141 stdout closed by its reader, 143
 terminated by SIGTERM, each as a shell reports a command killed by that
@@ -178,8 +180,9 @@ def _form(fmt, command, arguments, headers, widths=None):
 
 
 def _stream(out, fmt, head, lines, summary=None) -> None:
-    """Write head and lines to the --out file if given, else stdout, then
-    the summary() line: after the rows for a table, else on stderr.
+    """Write head and lines to the --out file if given, else stdout, then,
+    once they are flushed, the summary() line: after the rows for a table,
+    else on stderr.
 
     The first line is pulled before the output is opened or touched, so a
     producer that fails before its first row, as the recursion does past
@@ -198,6 +201,7 @@ def _stream(out, fmt, head, lines, summary=None) -> None:
         if fmt == "json":
             stream.write("\n  ]\n}\n" if first else "]\n}\n")
         if summary is not None:
+            stream.flush()  # a write that fails leaves no summary claiming success
             print(summary(), file=stream if fmt == "table" else sys.stderr)
 
 

@@ -48,8 +48,10 @@ carry the human-readable statement.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
@@ -405,12 +407,12 @@ _TABLE_IDENTITIES = (
     ), conjecture=True),
 )
 
-_IDENTITIES = _TABLE_IDENTITIES + (
+_ENGINE_IDENTITIES = (
     Identity("game-equiv", "retrograde losing set equals the pair set", "game", _game_equivalence),
     Identity("prime-claim", "composite(prime(n) - n - 1) = prime(n) - 1", "prime", _prime_gap_claim),
 )
 
-REGISTRY: dict[str, Identity] = {ident.identity_id: ident for ident in _IDENTITIES}
+REGISTRY: dict[str, Identity] = {i.identity_id: i for i in _TABLE_IDENTITIES + _ENGINE_IDENTITIES}
 
 IDENTITY_IDS: tuple[str, ...] = tuple(REGISTRY)
 
@@ -489,17 +491,17 @@ def verify_all(
     package code, ``pickle`` and ``os`` run there, while the parent builds
     one table at n_max and runs the table identities on it and the proofs
     over it.  A failed build fails each table identity with that one
-    error.  Where ``os.fork`` is missing, the game and prime identities
-    run inline after the table is released.  The registry lists every
-    table identity first, so the table reports followed by the others
-    cover it in order, never aborting early; an error that is not a
-    ``WythoffError``, in either process, is raised here.
+    error.  Where ``os.fork`` is missing, it picks the inline path itself:
+    the game and prime identities run after the table is released.  The
+    registry lists every table identity first, so the table reports
+    followed by the others cover it in order, never aborting early; an
+    error that is not a ``WythoffError``, in either process, is raised here.
     """
     if n_max < 1 or game_cap < 1 or prime_n_max < 1:
         raise RangeError("all range arguments must be >= 1")
     bounds = {"table": n_max, "game": game_cap, "prime": prime_n_max}
-    engines = [ident for ident in _IDENTITIES if ident.kind != "table"]
-    with _in_child(lambda: _reports(engines, bounds)) as engine_reports:
+    engines = _in_child if hasattr(os, "fork") else nullcontext  # nullcontext(work) yields work
+    with engines(lambda: _reports(_ENGINE_IDENTITIES, bounds)) as engine_reports:
         try:
             table = build_recursive(n_max)
         except WythoffError as exc:

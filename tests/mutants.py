@@ -7,6 +7,9 @@ runs each killing node on its own against the mutated copy; every one of
 them must fail.  Before that it checks once that all the named nodes pass
 on an unmutated copy.  A surviving mutant, an old text that no longer
 matches exactly once, or a node that errors instead of failing exits 1.
+It prints the seconds each mutant took and its number of pytest runs,
+one per killing node, then the totals, so the share of the gate that
+goes to pytest start-ups shows.
 
 The entries cover the whole package: the registry's proofs and the
 coverage check ahead of them (a proof that passes where its reference
@@ -644,6 +647,42 @@ MUTANTS = (
             + "TestOutputFailures::test_failed_fork_exits_two_and_restores_the_signal_mask",
         ),
     ),
+    # a failed fork leaves both ends of its pipe open, two descriptors a call
+    (
+        FORK,
+        "        os.close(read_fd)\n        os.close(write_fd)\n        raise\n",
+        "        raise\n",
+        (
+            CLI_TESTS
+            + "TestOutputFailures::test_failed_fork_exits_two_and_restores_the_signal_mask",
+        ),
+    ),
+    # a child that ends without a result raises an error the CLI does not
+    # map: a traceback and exit 1, the code of a failed verification
+    (
+        FORK,
+        'raise ChildProcessError("the forked child ended without a result")',
+        'raise RuntimeError("the forked child ended without a result")',
+        (
+            CLI_TESTS + "TestOutputFailures::test_killed_child_exits_two[gen]",
+            CLI_TESTS + "TestOutputFailures::test_killed_child_exits_two[verify]",
+        ),
+    ),
+    # verify_all forks where os.fork is missing, and fails there
+    (
+        VERIFY,
+        '    engines = _in_child if hasattr(os, "fork") else nullcontext',
+        "    engines = _in_child",
+        (TESTS + "TestForkedEngines::test_inline_run_gives_the_same_reports",),
+    ),
+    # the summary printed before the rows are flushed: a write that then
+    # fails follows a line that claims success
+    (
+        CLI,
+        "            stream.flush()  # a write that fails leaves no summary claiming success\n",
+        "",
+        (CLI_TESTS + "TestOutputFailures::test_full_stdout_prints_no_summary",),
+    ),
     # an eager registry import: the game API and the CLI compile verify.py
     # again, and the game API loads the sieve with it
     (
@@ -705,7 +744,11 @@ def main() -> int:
         if _pytest(tree, nodes) != 0:
             print("the killing nodes fail on the unmutated tree")
             return 1
+        runs = 1
+        seconds = time.perf_counter() - start
+        print(f"{len(nodes)} killing nodes pass unmutated in {seconds:.1f} s", flush=True)
         for number, (file, old, new, killers) in enumerate(MUTANTS, 1):
+            begun = time.perf_counter()
             try:
                 _copy(tree, (file, old, new))
             except LookupError as exc:
@@ -714,16 +757,19 @@ def main() -> int:
                 continue
             for node in killers:
                 code = _pytest(tree, [node])
+                runs += 1
                 # 1 is a test failure; 0 a survivor; anything else an error
                 if code != 1:
                     verdict = "survives" if code == 0 else f"errors (pytest exit {code})"
                     failures.append(f"mutant {number} {verdict} in {node}")
                     survivors.add(number)
+            seconds = time.perf_counter() - begun
+            print(f"mutant {number}: {len(killers)} run(s) in {seconds:.1f} s", flush=True)
     for line in failures:
         print(line)
     elapsed = time.perf_counter() - start
     killed = len(MUTANTS) - len(survivors)
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {elapsed:.0f} s")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {elapsed:.0f} s, {runs} pytest runs")
     return 1 if failures else 0
 
 

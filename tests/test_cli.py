@@ -617,8 +617,9 @@ def _first_line(path: Path, timeout: float = 60) -> bytes:
 
 
 class TestOutputFailures:
-    """A missing --out directory, a full TMPDIR, a closed stdout, an
-    interrupt or a SIGTERM keeps the exit-code contract."""
+    """A missing --out directory, a full TMPDIR or stdout, a forked child
+    that dies, a closed stdout, an interrupt or a SIGTERM keeps the
+    exit-code contract."""
 
     @pytest.mark.parametrize(
         "args",
@@ -681,16 +682,84 @@ class TestOutputFailures:
         assert r.stderr == "error: [Errno 28] No space left on device\n"
 
     def test_failed_fork_exits_two_and_restores_the_signal_mask(self, runner, monkeypatch):
-        # SIGINT and SIGTERM, blocked for the fork, are unblocked again here
+        # SIGINT and SIGTERM, blocked for the fork, are unblocked again here,
+        # and the pipe opened for the child's result is closed at both ends
         def refused():
             raise OSError(errno.EAGAIN, "fork refused")
 
+        pipe, ends = os.pipe, []
+        monkeypatch.setattr(os, "pipe", lambda: ends.extend(pipe()) or tuple(ends))
         monkeypatch.setattr(os, "fork", refused)
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
         r = runner.invoke(main, ["gen", "--n-max", "4", "--format", "csv"])
         assert (r.exit_code, r.stdout) == (2, "")
         assert r.stderr == f"error: [Errno {errno.EAGAIN}] fork refused\n"
         assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        assert len(ends) == 2
+        for end in ends:
+            with pytest.raises(OSError, match=f"Errno {errno.EBADF}"):
+                os.fstat(end)
+
+    @pytest.mark.parametrize(
+        "args, whole",
+        [
+            pytest.param(
+                ["gen", "--n-max", "10", "--format", "csv"],
+                "n,p,q\n1,1,2\n2,3,5\n3,4,7\n4,6,10\n5,8,13\n"
+                "6,9,15\n7,11,18\n8,12,20\n9,14,23\n10,16,26\n",
+                id="gen",
+            ),
+            # verify --all writes nothing before it holds every report
+            pytest.param(
+                ["verify", "--all", "--n-max", "100", "--game-cap", "30", "--prime-n-max", "20"],
+                "",
+                id="verify",
+            ),
+        ],
+    )
+    def test_killed_child_exits_two(self, args, whole):
+        # the parent SIGKILLs each child the moment os.fork returns, as the
+        # OOM killer might; the child sleeps till then, so it sends no result
+        killed = (
+            "import os, signal, time, wythoff.cli\n"
+            "fork = os.fork\n"
+            "def killed():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        os.kill(pid, signal.SIGKILL)\n"
+            "    else:\n"
+            "        time.sleep(60)\n"
+            "    return pid\n"
+            "os.fork = killed\n"
+            "wythoff.cli.main()\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", killed, *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: the forked child ended without a result\n"
+        assert whole.startswith(done.stdout)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_prints_no_summary(self):
+        # the rows fit stdout's buffer, so only its flush meets the full
+        # device: that error is the one line on stderr, with no success line
+        args = ["--n-max", "1000", "--game-cap", "30", "--prime-n-max", "20", "--format", "json"]
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "wythoff.cli", "verify", "--all", *args],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=child_env(),
+                timeout=60,
+            )
+        assert done.returncode == 2
+        assert done.stderr == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
 
     def test_interrupt_exits_130_quietly(self, runner, monkeypatch):
         def interrupted(n):

@@ -283,7 +283,7 @@ class TestForkedEngines:
     def test_child_ending_without_a_result_is_an_error(self, monkeypatch):
         # as a child killed by a signal would: nothing reaches the pipe
         monkeypatch.setattr(wythoff.verify, "solve_retrograde", lambda cap: os._exit(1))
-        with pytest.raises(RuntimeError, match="ended without a result"):
+        with pytest.raises(ChildProcessError, match="ended without a result"):
             verify_all(100, 30, 20)
         _no_child_left()
 
